@@ -14,6 +14,7 @@ threshold at 0.5 <=> margin 0.
 import numpy as np
 
 from .base import BinaryClassifier
+from .tree import midpoint, presort
 
 _PROB_CLIP = 1e-7
 
@@ -39,20 +40,11 @@ class _SortedFeatures:
 
     def __init__(self, X):
         self.n, self.p = X.shape
-        self.orders = []
-        self.cuts = []
-        for f in range(self.p):
-            order = np.argsort(X[:, f], kind="stable")
-            xs = X[order, f]
-            self.orders.append(order)
-            self.cuts.append(np.flatnonzero(xs[1:] > xs[:-1]))
-        self.X = X
+        self.orders, self.values = presort(X)
+        self.cuts = [np.flatnonzero(xs[1:] > xs[:-1]) for xs in self.values]
 
     def threshold_at(self, f, cut):
-        xs = self.X[self.orders[f], f]
-        lo, hi = xs[cut], xs[cut + 1]
-        thr = (lo + hi) / 2.0
-        return lo if thr >= hi else thr
+        return midpoint(self.values[f], cut)
 
 
 def _best_error_stump(sf, y, w):

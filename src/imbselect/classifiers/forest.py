@@ -1,17 +1,20 @@
 """Bagged forest of Gini trees with per-split feature subsampling.
 
 Each tree's randomness derives only from (seed, tree index), so fitting is
-reproducible regardless of scheduling. The default score is the fraction
-of trees voting positive; ``probability_mode="leaf_mean"`` averages the
-per-tree leaf class fractions instead, which gives a finer-grained ranking
-signal (used by the instance-hardness undersampler).
+reproducible regardless of scheduling. Each feature is argsorted once per
+fit and every tree reads that shared presort; a tree's bootstrap draw
+reaches it as per-row counts, not as a copy of the drawn rows (``tree.py``
+describes how nodes use both). The default score is the fraction of trees
+voting positive; ``probability_mode="leaf_mean"`` averages the per-tree
+leaf class fractions instead, which gives a finer-grained ranking signal
+(used by the instance-hardness undersampler).
 """
 
 import numpy as np
 
 from ..base import derive_rng, derive_seed
 from .base import BinaryClassifier
-from .tree import DecisionTreeClassifier
+from .tree import DecisionTreeClassifier, presort
 
 
 class RandomForestClassifier(BinaryClassifier):
@@ -39,19 +42,19 @@ class RandomForestClassifier(BinaryClassifier):
         if self.probability_mode not in ("vote", "leaf_mean"):
             raise ValueError(f"unknown probability_mode {self.probability_mode!r}")
         n = X.shape[0]
+        presorted = presort(X)
+        counts = np.ones(n, dtype=np.int64)
         self.trees_ = []
         for t in range(self.n_trees):
             if self.bootstrap:
                 idx = derive_rng(self.seed, "bootstrap", t).integers(0, n, size=n)
-                X_t, y_t = X[idx], y[idx]
-            else:
-                X_t, y_t = X, y
+                counts = np.bincount(idx, minlength=n)
             tree = DecisionTreeClassifier(
                 max_depth=self.max_depth,
                 max_features=self.max_features,
                 seed=derive_seed(self.seed, "tree", t),
             )
-            tree._fit(X_t, y_t)
+            tree._grow(X, y, counts, presorted)
             self.trees_.append(tree)
 
     def _score(self, X):

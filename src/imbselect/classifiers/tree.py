@@ -4,6 +4,20 @@ Splits minimize the weighted child Gini impurity over midpoint thresholds.
 Ties break to the lowest feature index, then the lowest threshold, so the
 tree is a pure function of the training set. Building is iterative (an
 explicit stack), which keeps deep trees off the Python recursion limit.
+
+A tree grows from per-row counts over a shared matrix: a forest passes its
+bootstrap draw as counts (how often each row was drawn) instead of copying
+the drawn rows, and a plain fit uses all-one counts. Each feature is
+stable-argsorted once per fit (``presort``), and a forest shares those
+orders across its trees. A node that holds at least 1/``_PRESORT_SHARE``
+of the fit's draws finds each sampled feature's sorted rows by filtering
+the shared order by node membership, which costs O(rows of the fit) per
+feature. A smaller node expands its rows by their counts and argsorts
+per node, as do its descendants: there an O(node) sort is cheaper than an
+O(fit) filter, and filtering at every node made a 7.7k-node tree on
+20,000 rows about 1.6x slower to fit. Both paths give the same tree bit
+for bit: ties among equal values never change a cut position, a count, a
+threshold or the order of random draws.
 """
 
 import numpy as np
@@ -12,10 +26,47 @@ from ..base import derive_rng
 from .base import BinaryClassifier
 
 _LEAF = -1
+# Nodes holding at least 1/_PRESORT_SHARE of the fit's draws filter the
+# shared presort; smaller ones argsort their own rows.
+_PRESORT_SHARE = 16
+
+
+def presort(X):
+    """(orders, values), both (features, rows): row ``orders[f]`` sorts
+    column f with equal values kept in row order; ``values[f]`` is the
+    column in that order."""
+    orders = np.argsort(X.T, axis=1, kind="stable")
+    return orders, np.take_along_axis(X.T, orders, axis=1)
+
+
+def _gini_cuts(xs, cum_pos, n, n_pos, cum_n=None):
+    """(weighted child Gini, position) at every value boundary of sorted xs.
+
+    ``cum_pos``/``cum_n`` are running positive and row counts along xs;
+    ``cum_n=None`` means one row per entry.
+    """
+    cut = np.flatnonzero(xs[1:] > xs[:-1])
+    n_left = cut + 1.0 if cum_n is None else cum_n[cut]
+    pos_left = cum_pos[cut]
+    n_right = n - n_left
+    pos_right = n_pos - pos_left
+    gini_left = 1.0 - (pos_left / n_left) ** 2 - ((n_left - pos_left) / n_left) ** 2
+    gini_right = 1.0 - (pos_right / n_right) ** 2 - ((n_right - pos_right) / n_right) ** 2
+    return (n_left * gini_left + n_right * gini_right) / n, cut
+
+
+def midpoint(xs, c):
+    """Threshold between sorted xs[c] and the larger xs[c + 1]."""
+    lo, hi = xs[c], xs[c + 1]
+    threshold = (lo + hi) / 2.0
+    return lo if threshold >= hi else threshold  # adjacent floats: keep it strict
 
 
 def _best_split(X, y, rows, feature_ids):
-    """(weighted_gini, feature, threshold, left_rows, right_rows) or None."""
+    """(weighted_gini, feature, threshold, left_rows, right_rows) or None.
+
+    ``rows`` lists every draw of the node, repeats included.
+    """
     n = rows.size
     y_rows = y[rows]
     n_pos = int(y_rows.sum())
@@ -27,26 +78,41 @@ def _best_split(X, y, rows, feature_ids):
         xs = x[order]
         if xs[0] == xs[-1]:
             continue
-        ys = y_rows[order]
-        cum_pos = np.cumsum(ys)
-        cut = np.flatnonzero(xs[1:] > xs[:-1])
-        n_left = cut + 1.0
-        pos_left = cum_pos[cut]
-        n_right = n - n_left
-        pos_right = n_pos - pos_left
-        gini_left = 1.0 - (pos_left / n_left) ** 2 - ((n_left - pos_left) / n_left) ** 2
-        gini_right = (
-            1.0 - (pos_right / n_right) ** 2 - ((n_right - pos_right) / n_right) ** 2
-        )
-        weighted = (n_left * gini_left + n_right * gini_right) / n
+        weighted, cut = _gini_cuts(xs, np.cumsum(y_rows[order]), n, n_pos)
         k = int(np.argmin(weighted))
         if weighted[k] < best_score:
             best_score = weighted[k]
-            lo, hi = xs[cut[k]], xs[cut[k] + 1]
-            threshold = (lo + hi) / 2.0
-            if threshold >= hi:  # adjacent floats: keep the boundary strict
-                threshold = lo
-            best = (f, threshold, rows[order[: cut[k] + 1]], rows[order[cut[k] + 1 :]])
+            c = cut[k]
+            best = (f, midpoint(xs, c), rows[order[: c + 1]], rows[order[c + 1 :]])
+    if best is None:
+        return None
+    return (best_score, *best)
+
+
+def _best_presorted_split(presorted, member, counts, pos_counts, n, n_pos, feature_ids):
+    """``_best_split`` for a node read from the shared ``presort``.
+
+    ``member`` masks the node's rows (None: every row of the fit); float
+    ``counts`` weight them (None: one draw each) and ``pos_counts`` hold
+    their positive draws.
+    """
+    orders, values = presorted
+    best = None
+    best_score = np.inf
+    for f in feature_ids:
+        node_rows, xs = orders[f], values[f]
+        if member is not None:
+            keep = member[node_rows]
+            node_rows, xs = node_rows.compress(keep), xs.compress(keep)
+        if xs[0] == xs[-1]:
+            continue
+        cum_n = None if counts is None else np.cumsum(counts[node_rows])
+        weighted, cut = _gini_cuts(xs, np.cumsum(pos_counts[node_rows]), n, n_pos, cum_n)
+        k = int(np.argmin(weighted))
+        if weighted[k] < best_score:
+            best_score = weighted[k]
+            c = cut[k]
+            best = (f, midpoint(xs, c), node_rows[: c + 1], node_rows[c + 1 :])
     if best is None:
         return None
     return (best_score, *best)
@@ -73,8 +139,18 @@ class DecisionTreeClassifier(BinaryClassifier):
         return np.sort(rng.choice(p, size=count, replace=False))
 
     def _fit(self, X, y):
+        self._grow(X, y, np.ones(X.shape[0], dtype=np.int64), presort(X))
+
+    def _grow(self, X, y, counts, presorted):
+        """Fit to the rows of X drawn ``counts`` times each; ``presorted`` is
+        ``presort(X)``. Neither is kept on the fitted tree."""
         p = X.shape[1]
         rng = derive_rng(self.seed, "feature_subsets") if self.max_features else None
+        # float running sums of integer counts are exact, and the same
+        # numbers as the integer sums the per-node path takes
+        pos_weights = counts * y.astype(np.float64)
+        weights = None if counts.max() == 1 else counts.astype(np.float64)
+        total = int(counts.sum())
         feature = [0]
         threshold = [0.0]
         left = [0]
@@ -89,20 +165,37 @@ class DecisionTreeClassifier(BinaryClassifier):
             prob.append(0.0)
             return len(feature) - 1
 
-        stack = [(np.arange(X.shape[0]), 0, 0)]
+        # nodes read from the presort hold distinct rows weighted by counts;
+        # the others list every draw, so their rows repeat
+        stack = [(np.flatnonzero(counts), 0, 0, True)]
         while stack:
-            rows, depth, nid = stack.pop()
-            n = rows.size
-            n_pos = int(y[rows].sum())
+            rows, depth, nid, from_presort = stack.pop()
+            if from_presort:
+                n = int(counts[rows].sum())
+                n_pos = int(pos_weights[rows].sum())
+                if n * _PRESORT_SHARE < total:
+                    rows = np.repeat(rows, counts[rows])
+                    from_presort = False
+            else:
+                n = rows.size
+                n_pos = int(y[rows].sum())
             at_cap = self.max_depth is not None and depth >= self.max_depth
             split = None
             if not at_cap and 0 < n_pos < n and n >= self.min_samples_split:
+                if from_presort:
+                    member = None
+                    if rows.size < X.shape[0]:
+                        member = np.zeros(X.shape[0], dtype=bool)
+                        member[rows] = True
+                    search = _best_presorted_split
+                    node = (presorted, member, weights, pos_weights, n, n_pos)
+                else:
+                    search, node = _best_split, (X, y, rows)
                 feats = self._feature_ids(p, rng)
-                split = _best_split(X, y, rows, feats)
+                split = search(*node, feats)
                 if split is None and feats.size < p:
                     # sampled features were constant here: look at the rest
-                    rest = np.setdiff1d(np.arange(p), feats)
-                    split = _best_split(X, y, rows, rest)
+                    split = search(*node, np.setdiff1d(np.arange(p), feats))
             if split is None:
                 feature[nid] = _LEAF
                 prob[nid] = n_pos / n
@@ -113,8 +206,8 @@ class DecisionTreeClassifier(BinaryClassifier):
             left[nid] = lid = new_node()
             right[nid] = rid = new_node()
             # left pushed last so it is processed first: stable node numbering
-            stack.append((right_rows, depth + 1, rid))
-            stack.append((left_rows, depth + 1, lid))
+            stack.append((right_rows, depth + 1, rid, from_presort))
+            stack.append((left_rows, depth + 1, lid, from_presort))
 
         self.feature_ = np.asarray(feature, dtype=np.int64)
         self.threshold_ = np.asarray(threshold)

@@ -232,7 +232,7 @@ class SplitIndices:
         object.__setattr__(self, "test_idx", np.asarray(self.test_idx, np.int64))
 
 
-def _round_half_away(x):
+def round_half_away(x):
     return int(np.floor(x + 0.5))
 
 
@@ -251,9 +251,9 @@ def stratified_split(labels, test_fraction, seed):
     if len(pos_idx) < 2 or len(neg_idx) < 2:
         raise ValueError("both classes need at least 2 members to split")
 
-    n_test_pos = _round_half_away(test_fraction * len(pos_idx))
-    n_test_neg = _round_half_away(test_fraction * len(neg_idx))
-    residual = _round_half_away(test_fraction * n) - (n_test_pos + n_test_neg)
+    n_test_pos = round_half_away(test_fraction * len(pos_idx))
+    n_test_neg = round_half_away(test_fraction * len(neg_idx))
+    residual = round_half_away(test_fraction * n) - (n_test_pos + n_test_neg)
     if len(neg_idx) >= len(pos_idx):
         n_test_neg += residual
     else:

@@ -16,7 +16,7 @@ import numpy as np
 
 from .base import BaseEstimator, derive_rng, derive_seed
 from .classifiers.forest import RandomForestClassifier
-from .dataset import Dataset, stratified_folds
+from .dataset import Dataset, round_half_away, stratified_folds
 from .validation import check_X_y, require_both_classes
 
 SAMPLER_KINDS = (
@@ -62,16 +62,12 @@ class SamplerSpec:
         return f"{self.kind}({','.join(parts)})"
 
 
-def _round_half_away(x):
-    return int(np.floor(x + 0.5))
-
-
 def _class_indices(y):
     return np.flatnonzero(y == 1), np.flatnonzero(y == 0)
 
 
 def _undersample_keep_count(n_pos, n_neg, target_ratio):
-    keep = _round_half_away(n_pos / target_ratio)
+    keep = round_half_away(n_pos / target_ratio)
     if keep > n_neg:
         raise ValueError(
             f"target_ratio {target_ratio} is below the current class ratio "
@@ -81,7 +77,7 @@ def _undersample_keep_count(n_pos, n_neg, target_ratio):
 
 
 def _oversample_new_count(n_pos, n_neg, target_ratio):
-    new = _round_half_away(n_neg * target_ratio) - n_pos
+    new = round_half_away(n_neg * target_ratio) - n_pos
     if new < 0:
         raise ValueError(
             f"target_ratio {target_ratio} is below the current class ratio "

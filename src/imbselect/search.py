@@ -187,8 +187,9 @@ def evaluate_cell(cell, train, test, cfg, pca=None):
     seed = derive_seed(cfg.master_seed, "cell", cell.index)
     try:
         pipeline = CellPipeline(cell, cfg, pca).fit(train)
-        predictions = pipeline.predict(test)
         scores = pipeline.predict_score(test)
+        # the expression BinaryClassifier.predict applies, without rescoring
+        predictions = (scores >= pipeline.model_.decision_threshold).astype(np.int64)
         metrics = metric_record(
             test.labels,
             predictions,

@@ -1,8 +1,12 @@
 import math
+from unittest import mock
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from imbselect.base import derive_rng, derive_seed
 from imbselect.classifiers import (
     CLASSIFIER_REGISTRY,
     ClassifierSpec,
@@ -20,6 +24,7 @@ from imbselect.classifiers.linear import (
     logistic_loss,
 )
 from imbselect.classifiers.neighbors import KNeighborsClassifier
+from imbselect.classifiers import tree as tree_module
 from imbselect.classifiers.tree import DecisionTreeClassifier
 
 ALL_KINDS = sorted(CLASSIFIER_REGISTRY)
@@ -389,3 +394,149 @@ def test_persistence_rejects_unfitted_and_bad_versions(tmp_path):
     bad.write_bytes(pickle.dumps({"format_version": 99}))
     with pytest.raises(ValueError, match="format version"):
         load_model(bad)
+
+
+# ---------------------------------------------------------------------------
+# presorted CART against the per-node argsort reference
+# ---------------------------------------------------------------------------
+
+def reference_cart(X, y, max_depth=None, max_features=None, seed=0):
+    """The tree grown by argsorting every feature at every node, on the
+    drawn rows themselves: (feature, threshold, left, right, prob)."""
+    p = X.shape[1]
+    rng = derive_rng(seed, "feature_subsets") if max_features else None
+    if max_features is None:
+        take = p
+    elif max_features == "sqrt":
+        take = max(1, int(np.sqrt(p)))
+    else:
+        take = max(1, min(int(max_features), p))
+
+    def sample():
+        if take >= p:
+            return np.arange(p)
+        return np.sort(rng.choice(p, size=take, replace=False))
+
+    def best_split(rows, feats):
+        n, n_pos = rows.size, int(y[rows].sum())
+        best, best_score = None, np.inf
+        for f in feats:
+            order = np.argsort(X[rows, f], kind="stable")
+            xs, ys = X[rows, f][order], y[rows][order]
+            if xs[0] == xs[-1]:
+                continue
+            cut = np.flatnonzero(xs[1:] > xs[:-1])
+            n_l, pos_l = cut + 1.0, np.cumsum(ys)[cut]
+            n_r, pos_r = n - n_l, n_pos - pos_l
+            g_l = 1.0 - (pos_l / n_l) ** 2 - ((n_l - pos_l) / n_l) ** 2
+            g_r = 1.0 - (pos_r / n_r) ** 2 - ((n_r - pos_r) / n_r) ** 2
+            weighted = (n_l * g_l + n_r * g_r) / n
+            k = int(np.argmin(weighted))
+            if weighted[k] < best_score:
+                best_score = weighted[k]
+                lo, hi = xs[cut[k]], xs[cut[k] + 1]
+                thr = lo if (lo + hi) / 2.0 >= hi else (lo + hi) / 2.0
+                best = (f, thr, rows[order[: cut[k] + 1]], rows[order[cut[k] + 1 :]])
+        return best
+
+    nodes = [[0, 0.0, 0, 0, 0.0]]
+    stack = [(np.arange(X.shape[0]), 0, 0)]
+    while stack:
+        rows, depth, nid = stack.pop()
+        n, n_pos = rows.size, int(y[rows].sum())
+        split = None
+        if (max_depth is None or depth < max_depth) and 0 < n_pos < n and n >= 2:
+            feats = sample()
+            split = best_split(rows, feats)
+            if split is None and feats.size < p:
+                split = best_split(rows, np.setdiff1d(np.arange(p), feats))
+        if split is None:
+            nodes[nid][0], nodes[nid][4] = -1, n_pos / n
+            continue
+        f, thr, left_rows, right_rows = split
+        lid, rid = len(nodes), len(nodes) + 1
+        nodes += [[0, 0.0, 0, 0, 0.0], [0, 0.0, 0, 0, 0.0]]
+        nodes[nid][:4] = [f, thr, lid, rid]
+        stack += [(right_rows, depth + 1, rid), (left_rows, depth + 1, lid)]
+    columns = list(zip(*nodes))
+    return (
+        np.array(columns[0], dtype=np.int64),
+        np.array(columns[1]),
+        np.array(columns[2], dtype=np.int64),
+        np.array(columns[3], dtype=np.int64),
+        np.array(columns[4]),
+    )
+
+
+def assert_same_tree(tree, reference):
+    for name, expected in zip(("feature_", "threshold_", "left_", "right_", "prob_"), reference):
+        assert np.array_equal(getattr(tree, name), expected), name
+
+
+@st.composite
+def tree_problems(draw):
+    n = draw(st.integers(2, 120))
+    p = draw(st.integers(1, 5))
+    levels = draw(st.sampled_from([2, 3, 7, None]))  # None: continuous
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    X = rng.normal(size=(n, p)) if levels is None else rng.integers(0, levels, (n, p)) * 0.5
+    constant = draw(st.lists(st.integers(0, p - 1), max_size=p))
+    X[:, constant] = 1.25
+    if draw(st.booleans()):  # duplicate rows, some with the other label
+        X = np.vstack([X, X[: n // 2]])
+    y = (rng.random(X.shape[0]) < draw(st.floats(0.05, 0.95))).astype(np.int64)
+    y[0], y[-1] = 0, 1
+    return X, y
+
+
+@settings(max_examples=80, deadline=None)
+@given(
+    problem=tree_problems(),
+    max_depth=st.sampled_from([None, 1, 2, 4]),
+    max_features=st.sampled_from([None, "sqrt", 1, 2]),
+    share=st.sampled_from([1, 2, 8, tree_module._PRESORT_SHARE, 10**9]),
+    seed=st.integers(0, 2**31),
+)
+def test_presorted_tree_matches_per_node_reference(problem, max_depth, max_features, share, seed):
+    # share 1 sends every node below the root to the per-node path and
+    # 10**9 keeps every node on the presort, so both paths and the switch
+    # between them are covered
+    X, y = problem
+    with mock.patch.object(tree_module, "_PRESORT_SHARE", share):
+        tree = DecisionTreeClassifier(max_depth=max_depth, max_features=max_features, seed=seed)
+        tree.fit(X, y)
+    assert_same_tree(tree, reference_cart(X, y, max_depth, max_features, seed))
+
+
+@settings(max_examples=40, deadline=None)
+@given(
+    problem=tree_problems(),
+    max_depth=st.sampled_from([None, 2]),
+    max_features=st.sampled_from(["sqrt", None, 2]),
+    bootstrap=st.booleans(),
+    share=st.sampled_from([1, tree_module._PRESORT_SHARE, 10**9]),
+    seed=st.integers(0, 2**31),
+)
+def test_presorted_forest_trees_match_reference(problem, max_depth, max_features, bootstrap, share, seed):
+    X, y = problem
+    n = X.shape[0]
+    with mock.patch.object(tree_module, "_PRESORT_SHARE", share):
+        forest = RandomForestClassifier(
+            n_trees=4, max_depth=max_depth, max_features=max_features,
+            bootstrap=bootstrap, seed=seed,
+        ).fit(X, y)
+    for t, tree in enumerate(forest.trees_):
+        idx = derive_rng(seed, "bootstrap", t).integers(0, n, size=n) if bootstrap else np.arange(n)
+        tree_seed = derive_seed(seed, "tree", t)
+        assert_same_tree(tree, reference_cart(X[idx], y[idx], max_depth, max_features, tree_seed))
+
+
+def test_fitted_trees_keep_no_presort_or_counts():
+    # persistence pickles __dict__, so fit-time arrays would bloat saved models
+    X, y = blob_data(n=200, seed=8)
+    tree_keys = {"max_depth", "min_samples_split", "max_features", "seed",
+                 "feature_", "threshold_", "left_", "right_", "prob_"}
+    tree = DecisionTreeClassifier().fit(X, y)
+    assert set(vars(tree)) == tree_keys | {"fit_flags_", "train_time_s_", "n_features_in_"}
+    forest = RandomForestClassifier(n_trees=3, seed=1).fit(X, y)
+    assert all(set(vars(t)) == tree_keys for t in forest.trees_)

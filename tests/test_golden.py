@@ -1,0 +1,64 @@
+"""Golden bytes: the sha256 of ``leaderboard.csv`` for a small fixed grid.
+
+Reruns agreeing with each other (criterion 10) cannot show that a change
+to a kernel left the output alone; these pins can. The grid covers the
+``V<n>`` slice and the PCA path, the samplers ``none``, instance-hardness
+threshold and SMOTE, and the tree, forest and k-NN classifiers. A change
+that is meant to move the bytes re-pins here and says so in CHANGES.md.
+"""
+
+import hashlib
+
+import pytest
+
+from imbselect.cli import main
+from imbselect.fixtures import make_fixture
+
+GOLDEN_SHA256 = {
+    "encoded": "8a5fa9ac45dd4267cb77edd39dab61c3e3a09f3010a835fbd97be950971df4c7",
+    "pca": "448bdad18471dee18a586477f6516de71afd8b5e1e805196777ed2aa6de370d0",
+}
+
+
+@pytest.mark.parametrize("path", sorted(GOLDEN_SHA256))
+def test_leaderboard_bytes_are_pinned(tmp_path, path):
+    data = tmp_path / "golden.csv"
+    make_fixture(
+        "gaussian-imbalanced", 600, 0.05, seed=5, out_path=data,
+        n_features=6, separation=1.5,
+    )
+    config = tmp_path / "golden.ini"
+    config.write_text(
+        f"""
+[dataset]
+path = {data}
+label_column = Class
+positive_label = 1
+pre_encoded = {"true" if path == "encoded" else "false"}
+standardize_columns = Time, Amount
+
+[grid]
+dims = 2, 5
+samplers = none, iht, smote
+classifiers = decision_tree, random_forest, knn
+metric = f1
+top_k = 3
+test_fraction = 0.25
+master_seed = 13
+
+[output]
+dir = {tmp_path / 'out'}
+formats = csv
+workers = 1
+
+[sampler.instance_hardness_threshold]
+target_ratio = 0.2
+
+[classifier.random_forest]
+n_trees = 10
+""",
+        encoding="utf-8",
+    )
+    assert main(["run", "--config", str(config)]) == 0
+    board = (tmp_path / "out" / "leaderboard.csv").read_bytes()
+    assert hashlib.sha256(board).hexdigest() == GOLDEN_SHA256[path]
