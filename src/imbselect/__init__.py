@@ -8,7 +8,7 @@ the best cells plus optional voting ensembles.
 
 __version__ = "0.1.0"
 
-from .classifiers import CLASSIFIER_REGISTRY, ClassifierSpec, make_classifier, train
+from .classifiers import CLASSIFIER_REGISTRY, ClassifierSpec, make_classifier
 from .dataset import (
     ColumnStandardizer,
     Dataset,
@@ -26,7 +26,6 @@ from .metrics import (
     MetricRecord,
     auroc_curve,
     auroc_point,
-    basic_rates,
     cohen_kappa,
     confusion,
     f1,
@@ -68,7 +67,6 @@ __all__ = [
     "VotingEnsemble",
     "auroc_curve",
     "auroc_point",
-    "basic_rates",
     "build_ensemble",
     "cohen_kappa",
     "confusion",
@@ -89,5 +87,4 @@ __all__ = [
     "select_encoded",
     "stratified_folds",
     "stratified_split",
-    "train",
 ]

@@ -81,3 +81,12 @@ def derive_rng(*keys):
 def derive_seed(*keys):
     """64-bit integer seed for the given key path."""
     return int(seed_sequence(*keys).generate_state(1, np.uint64)[0])
+
+
+def build_estimator(cls, kind, params, seed):
+    """``cls(**params)``; a constructor that takes ``seed`` gets one derived
+    from ``(seed, kind)`` unless ``params`` sets it."""
+    if "seed" in cls._param_names() and "seed" not in params:
+        # the 0 is the former per-spec salt, always 0, so seeds stay as they were
+        params = {**params, "seed": derive_seed(seed, 0, kind)}
+    return cls(**params)

@@ -8,7 +8,7 @@ search machinery.
 
 from dataclasses import dataclass, field
 
-from ..base import derive_seed
+from ..base import build_estimator
 from .base import BinaryClassifier
 from .boosting import DiscreteAdaBoost, RealAdaBoost
 from .dummy import ConstantPositive
@@ -40,26 +40,19 @@ CLASSIFIER_REGISTRY = {
     "quadratic_da": QuadraticDiscriminant,
 }
 
-_SEEDED_KINDS = frozenset(
-    {"decision_tree", "random_forest", "perceptron", "sgd_hinge", "passive_aggressive"}
-)
 
-
-def register_classifier(kind, cls, seeded=False):
-    """Plug in an additional classifier kind."""
+def register_classifier(kind, cls):
+    """Plug in an additional classifier kind; a constructor that takes
+    ``seed`` gets a derived one, as the built-in kinds do."""
     if not issubclass(cls, BinaryClassifier):
         raise TypeError(f"{cls!r} must subclass BinaryClassifier")
     CLASSIFIER_REGISTRY[kind] = cls
-    if seeded:
-        global _SEEDED_KINDS
-        _SEEDED_KINDS = _SEEDED_KINDS | {kind}
 
 
 @dataclass(frozen=True)
 class ClassifierSpec:
     kind: str
     params: dict = field(default_factory=dict)
-    seed_salt: int = 0
 
     def __post_init__(self):
         if self.kind not in CLASSIFIER_REGISTRY:
@@ -78,13 +71,4 @@ class ClassifierSpec:
 
 def make_classifier(spec, seed=0):
     """Fresh unfitted estimator for a ClassifierSpec, with a derived seed."""
-    cls = CLASSIFIER_REGISTRY[spec.kind]
-    params = dict(spec.params)
-    if spec.kind in _SEEDED_KINDS and "seed" not in params:
-        params["seed"] = derive_seed(seed, spec.seed_salt, spec.kind)
-    return cls(**params)
-
-
-def train(spec, X, y, seed=0):
-    """Build and fit in one step; the model records its own train time."""
-    return make_classifier(spec, seed).fit(X, y)
+    return build_estimator(CLASSIFIER_REGISTRY[spec.kind], spec.kind, spec.params, seed)

@@ -161,9 +161,7 @@ class DiscreteAdaBoost(BinaryClassifier):
         return margin
 
     def _score(self, X):
-        margin = np.zeros(X.shape[0])
-        for stump, alpha in zip(self.stumps_, self.alphas_):
-            margin += alpha * (2.0 * stump.values(X) - 1.0)
+        margin = self.decision_margin(X)
         alpha_sum = float(np.sum(self.alphas_))
         return (margin / alpha_sum + 1.0) / 2.0
 

@@ -12,8 +12,8 @@ only breaks the hard-voting row).
 
 import configparser
 import csv
+import dataclasses
 import os
-from dataclasses import dataclass
 
 from .classifiers import CLASSIFIER_REGISTRY, ClassifierSpec
 from .decomposition import encoded_column_names
@@ -22,13 +22,14 @@ from .sampling import SAMPLER_KINDS, SamplerSpec
 from .search import GridConfig
 
 SAMPLER_ALIASES = {"iht": "instance_hardness_threshold"}
+SAMPLER_OPTIONS = {f.name for f in dataclasses.fields(SamplerSpec)} - {"kind"}
 
 
 class ConfigError(ValueError):
     pass
 
 
-@dataclass(frozen=True)
+@dataclasses.dataclass(frozen=True)
 class RunConfig:
     dataset_path: str
     label_column: str
@@ -83,8 +84,7 @@ def _section_params(parser, name):
 def _build_sampler_spec(kind, overrides, cv_folds):
     fields = {"iht_folds": cv_folds} if kind == "instance_hardness_threshold" else {}
     fields.update(overrides)
-    known = {"target_ratio", "k_neighbors", "with_replacement", "iht_folds", "seed_salt"}
-    unknown = set(fields) - known
+    unknown = set(fields) - SAMPLER_OPTIONS
     if unknown:
         raise ValueError(f"unknown sampler option(s): {sorted(unknown)}")
     return SamplerSpec(kind, **fields)
@@ -154,6 +154,9 @@ def _read(path, overrides):
     except ValueError:
         errors.append("grid.cv_folds must be an integer")
         cv_folds = 5
+    if cv_folds < 2:
+        errors.append("grid.cv_folds must be >= 2")
+        cv_folds = 5
 
     sampler_specs = []
     for raw in _parse_list(grid_section.get("samplers", "none")):
@@ -185,6 +188,11 @@ def _read(path, overrides):
             errors.append(f"classifier {raw!r}: {exc}")
     if not classifier_specs:
         errors.append("grid.classifiers must name at least one classifier")
+    # repeated entries would give leaderboard rows that cannot be told apart
+    for option, specs in (("samplers", sampler_specs), ("classifiers", classifier_specs)):
+        labels = [spec.label for spec in specs]
+        for label in sorted({label for label in labels if labels.count(label) > 1}):
+            errors.append(f"grid.{option} lists {label!r} more than once")
 
     metric_key = str(overrides.get("metric", grid_section.get("metric", "f1")))
     if metric_key not in METRIC_KEYS:
@@ -228,7 +236,6 @@ def _read(path, overrides):
                 metric_key=metric_key,
                 top_k=top_k,
                 test_fraction=test_fraction,
-                cv_folds=cv_folds,
                 master_seed=master_seed,
                 pre_encoded=pre_encoded,
                 encoded_prefix=encoded_prefix,

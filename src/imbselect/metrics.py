@@ -113,24 +113,6 @@ def tnr(c):
     return _ratio(c.tn, c.tn + c.fp)[0]
 
 
-def fpr(c):
-    return _ratio(c.fp, c.fp + c.tn)[0]
-
-
-def basic_rates(c):
-    """Accuracy, precision, recall, tnr, fpr and hamming loss in one dict."""
-    if c.total == 0:
-        raise ValueError("empty confusion matrix")
-    return {
-        "accuracy": accuracy(c),
-        "precision": precision(c),
-        "recall": recall(c),
-        "tnr": tnr(c),
-        "fpr": fpr(c),
-        "hamming_loss": hamming_loss(c),
-    }
-
-
 def f1(c):
     p = precision(c)
     r = recall(c)

@@ -10,23 +10,14 @@ minority points lie on segments between minority neighbours.
 resampling; 1.0 means full balance.
 """
 
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 
 import numpy as np
 
-from .base import BaseEstimator, derive_rng, derive_seed
+from .base import BaseEstimator, build_estimator, derive_rng, derive_seed
 from .classifiers.forest import RandomForestClassifier
 from .dataset import Dataset, round_half_away, stratified_folds
 from .validation import check_X_y, require_both_classes
-
-SAMPLER_KINDS = (
-    "none",
-    "random_under",
-    "instance_hardness_threshold",
-    "random_over",
-    "smote",
-    "adasyn",
-)
 
 
 @dataclass(frozen=True)
@@ -36,10 +27,9 @@ class SamplerSpec:
     k_neighbors: int = 5
     with_replacement: bool = False
     iht_folds: int = 5
-    seed_salt: int = 0
 
     def __post_init__(self):
-        if self.kind not in SAMPLER_KINDS:
+        if self.kind not in SAMPLER_REGISTRY:
             raise ValueError(
                 f"unknown sampler kind {self.kind!r}; known kinds: {SAMPLER_KINDS}"
             )
@@ -100,15 +90,11 @@ def _minority_neighbor_table(minority, k):
 
 
 class IdentitySampler(BaseEstimator):
-    kind = "none"
-
     def fit_resample(self, X, y):
         return X, y
 
 
 class RandomUnderSampler(BaseEstimator):
-    kind = "random_under"
-
     def __init__(self, target_ratio=1.0, with_replacement=False, seed=0):
         self.target_ratio = target_ratio
         self.with_replacement = with_replacement
@@ -132,8 +118,6 @@ class InstanceHardnessThreshold(BaseEstimator):
     forest (50 leaf-averaging trees, depth cap 10) over a stratified CV of
     the training split. Minority rows are always kept.
     """
-
-    kind = "instance_hardness_threshold"
 
     def __init__(self, target_ratio=1.0, n_folds=5, seed=0):
         self.target_ratio = target_ratio
@@ -173,8 +157,6 @@ class InstanceHardnessThreshold(BaseEstimator):
 
 
 class RandomOverSampler(BaseEstimator):
-    kind = "random_over"
-
     def __init__(self, target_ratio=1.0, seed=0):
         self.target_ratio = target_ratio
         self.seed = seed
@@ -206,8 +188,6 @@ def smote_synthesize(minority, k_neighbors, count, rng):
 
 
 class Smote(BaseEstimator):
-    kind = "smote"
-
     def __init__(self, target_ratio=1.0, k_neighbors=5, seed=0):
         self.target_ratio = target_ratio
         self.k_neighbors = k_neighbors
@@ -250,8 +230,6 @@ def adasyn_generation_counts(hardness, total):
 class Adasyn(BaseEstimator):
     """SMOTE-style interpolation with density-adaptive allocation: minority
     points surrounded by majority neighbours receive more synthetics."""
-
-    kind = "adasyn"
 
     def __init__(self, target_ratio=1.0, k_neighbors=5, seed=0):
         self.target_ratio = target_ratio
@@ -303,31 +281,30 @@ class Adasyn(BaseEstimator):
         )
 
 
+SAMPLER_REGISTRY = {
+    "none": IdentitySampler,
+    "random_under": RandomUnderSampler,
+    "instance_hardness_threshold": InstanceHardnessThreshold,
+    "random_over": RandomOverSampler,
+    "smote": Smote,
+    "adasyn": Adasyn,
+}
+SAMPLER_KINDS = tuple(SAMPLER_REGISTRY)
+
+# SamplerSpec fields whose constructor argument has another name
+_ARGUMENT_NAMES = {"iht_folds": "n_folds"}
+
+
 def make_sampler(spec, seed=0):
-    derived = derive_seed(seed, spec.seed_salt, spec.kind)
-    if spec.kind == "none":
-        return IdentitySampler()
-    if spec.kind == "random_under":
-        return RandomUnderSampler(
-            target_ratio=spec.target_ratio,
-            with_replacement=spec.with_replacement,
-            seed=derived,
-        )
-    if spec.kind == "instance_hardness_threshold":
-        return InstanceHardnessThreshold(
-            target_ratio=spec.target_ratio, n_folds=spec.iht_folds, seed=derived
-        )
-    if spec.kind == "random_over":
-        return RandomOverSampler(target_ratio=spec.target_ratio, seed=derived)
-    if spec.kind == "smote":
-        return Smote(
-            target_ratio=spec.target_ratio, k_neighbors=spec.k_neighbors, seed=derived
-        )
-    if spec.kind == "adasyn":
-        return Adasyn(
-            target_ratio=spec.target_ratio, k_neighbors=spec.k_neighbors, seed=derived
-        )
-    raise ValueError(f"unknown sampler kind {spec.kind!r}")
+    """Fresh sampler for a SamplerSpec, with a derived seed."""
+    cls = SAMPLER_REGISTRY[spec.kind]
+    accepted = cls._param_names()
+    params = {}
+    for f in fields(spec):
+        name = _ARGUMENT_NAMES.get(f.name, f.name)
+        if name in accepted:
+            params[name] = getattr(spec, f.name)
+    return build_estimator(cls, spec.kind, params, seed)
 
 
 def resample(spec, train, seed=0):

@@ -29,7 +29,6 @@ class GridConfig:
     metric_key: str = "f1"
     top_k: int = 3
     test_fraction: float = 0.2
-    cv_folds: int = 5
     master_seed: int = 0
     pre_encoded: bool = False
     encoded_prefix: str = "V"
@@ -60,15 +59,10 @@ class GridConfig:
             )
         if self.top_k < 1:
             out.append("top_k must be >= 1")
-        size = (
-            len(self.dims_list) * len(self.sampler_specs) * len(self.classifier_specs)
-        )
-        if size and self.top_k > size:
-            out.append(f"top_k {self.top_k} exceeds the grid size {size}")
+        if self.grid_size and self.top_k > self.grid_size:
+            out.append(f"top_k {self.top_k} exceeds the grid size {self.grid_size}")
         if not 0.0 < self.test_fraction < 1.0:
             out.append("test_fraction must be in (0, 1)")
-        if self.cv_folds < 2:
-            out.append("cv_folds must be >= 2")
         return out
 
     @property
@@ -85,10 +79,6 @@ class GridCell:
     sampler: SamplerSpec
     classifier: ClassifierSpec
 
-    @property
-    def tie_key(self):
-        return (self.dims, self.sampler.label, self.classifier.label)
-
 
 @dataclass(frozen=True)
 class EvaluationRecord:
@@ -100,7 +90,6 @@ class EvaluationRecord:
     status: str = "ok"
     error: str = ""
     cell: GridCell = None
-    tie_key: tuple = ()
 
     @property
     def ok(self):
@@ -182,9 +171,20 @@ class CellPipeline:
         return self.model_.supports_probability
 
 
+def _failed(record, exc):
+    """``record`` for a cell or vote that raised: it ranks last, the run goes on."""
+    return replace(record, status="failed", error=f"{type(exc).__name__}: {exc}")
+
+
 def evaluate_cell(cell, train, test, cfg, pca=None):
     """Full MetricRecord for one cell; failures become failed records."""
-    seed = derive_seed(cfg.master_seed, "cell", cell.index)
+    record = EvaluationRecord(
+        model_label=cell.classifier.label,
+        sampler_label=cell.sampler.label,
+        dims_label=str(cell.dims),
+        seed_used=derive_seed(cfg.master_seed, "cell", cell.index),
+        cell=cell,
+    )
     try:
         pipeline = CellPipeline(cell, cfg, pca).fit(train)
         scores = pipeline.predict_score(test)
@@ -197,26 +197,9 @@ def evaluate_cell(cell, train, test, cfg, pca=None):
             train_time_seconds=pipeline.train_seconds_,
             extra_flags=pipeline.model_.fit_flags_,
         )
-        return EvaluationRecord(
-            model_label=cell.classifier.label,
-            sampler_label=cell.sampler.label,
-            dims_label=str(cell.dims),
-            seed_used=seed,
-            metrics=metrics,
-            cell=cell,
-            tie_key=cell.tie_key,
-        )
-    except Exception as exc:  # failed cells rank last, the run continues
-        return EvaluationRecord(
-            model_label=cell.classifier.label,
-            sampler_label=cell.sampler.label,
-            dims_label=str(cell.dims),
-            seed_used=seed,
-            status="failed",
-            error=f"{type(exc).__name__}: {exc}",
-            cell=cell,
-            tie_key=cell.tie_key,
-        )
+        return replace(record, metrics=metrics)
+    except Exception as exc:
+        return _failed(record, exc)
 
 
 @dataclass(frozen=True)
@@ -231,25 +214,24 @@ class Leaderboard:
         return ok[:k]
 
 
-def rank(records, metric_key, tie_breaker="lexicographic"):
+def rank(records, metric_key):
     """Total order: metric descending, failed cells last.
 
-    ``tie_breaker="train_time"`` prefers the faster cell on exact metric
-    ties; the default resolves ties by (dims, sampler, model), which keeps
-    report bytes reproducible across runs (wall clock is not).
+    Exact metric ties resolve by (dims, sampler, model), with the vote rows
+    after every grid cell, so report bytes never depend on timing.
     """
     if metric_key not in METRIC_KEYS:
         raise KeyError(f"unknown metric key {metric_key!r}")
-    if tie_breaker not in ("lexicographic", "train_time"):
-        raise ValueError(f"unknown tie_breaker {tie_breaker!r}")
 
     def key(record):
         if not record.ok:
             return (1, 0.0, (), record.cell_index)
-        value = -record.metrics.value(metric_key)
-        if tie_breaker == "train_time":
-            return (0, value, record.metrics.train_time_seconds, record.tie_key)
-        return (0, value, record.tie_key, 0.0)
+        dims = record.cell.dims if record.cell is not None else float("inf")
+        return (
+            0,
+            -record.metrics.value(metric_key),
+            (dims, record.sampler_label, record.model_label),
+        )
 
     ordered = sorted(records, key=key)
     return Leaderboard(records=tuple(ordered), metric_key=metric_key)
@@ -301,18 +283,30 @@ class VotingEnsemble:
         return (self.predict_score(dataset) >= 0.5).astype(np.int64)
 
 
-def build_ensemble(top_records, mode, train, cfg, pca=None):
-    """Retrain the top cells on their own pipelines and wire up a vote."""
+def build_ensemble(top_records, train, cfg, pca=None):
+    """Refit the top cells on their own pipelines, once for both vote modes."""
     members = []
     for record in top_records:
         if record.cell is None:
             raise ValueError("ensemble members must come from grid cells")
         members.append(CellPipeline(record.cell, cfg, pca).fit(train))
-    return VotingEnsemble(members, mode)
+    return members
 
 
-def evaluate_ensemble(ensemble, test, seed_used=0):
+def _vote_record(mode, seed_used):
+    return EvaluationRecord(
+        model_label=f"vote_{mode}",
+        sampler_label="top_k_members",
+        dims_label="",
+        seed_used=seed_used,
+    )
+
+
+def evaluate_ensemble(members, mode, test, seed_used):
+    """One vote row; a hard vote over an even member count fails here."""
+    record = _vote_record(mode, seed_used)
     try:
+        ensemble = VotingEnsemble(members, mode)
         scores = ensemble.predict_score(test)
         predictions = (scores >= 0.5).astype(np.int64)
         flags = (
@@ -325,25 +319,10 @@ def evaluate_ensemble(ensemble, test, seed_used=0):
             train_time_seconds=ensemble.train_seconds,
             extra_flags=flags,
         )
-        dims = sorted({m.cell.dims for m in ensemble.members})
-        return EvaluationRecord(
-            model_label=f"vote_{ensemble.mode}",
-            sampler_label="top_k_members",
-            dims_label=",".join(str(d) for d in dims),
-            seed_used=seed_used,
-            metrics=metrics,
-            tie_key=(float("inf"), "vote", ensemble.mode),
-        )
+        dims = ",".join(str(d) for d in sorted({m.cell.dims for m in members}))
+        return replace(record, dims_label=dims, metrics=metrics)
     except Exception as exc:
-        return EvaluationRecord(
-            model_label=f"vote_{ensemble.mode}",
-            sampler_label="top_k_members",
-            dims_label="",
-            seed_used=seed_used,
-            status="failed",
-            error=f"{type(exc).__name__}: {exc}",
-            tie_key=(float("inf"), "vote", ensemble.mode),
-        )
+        return _failed(record, exc)
 
 
 def dataset_checksum(dataset):
@@ -385,7 +364,7 @@ class SearchResult:
         return list(self.cell_records) + list(self.ensemble_records)
 
 
-def run_search(train, test, cfg, workers=1, tie_breaker="lexicographic"):
+def run_search(train, test, cfg, workers=1):
     """Evaluate the whole grid plus both top-k voting ensembles.
 
     The test split is checksummed before the run and re-verified before
@@ -422,7 +401,7 @@ def run_search(train, test, cfg, workers=1, tie_breaker="lexicographic"):
         ) as pool:
             records = list(pool.map(_evaluate_in_worker, cells, chunksize=1))
 
-    board = rank(records, cfg.metric_key, tie_breaker)
+    board = rank(records, cfg.metric_key)
 
     if dataset_checksum(test) != checksum:
         raise LeakageError("test split changed during the grid run")
@@ -431,27 +410,23 @@ def run_search(train, test, cfg, workers=1, tie_breaker="lexicographic"):
     comparison = ""
     evaluated = [r for r in board.records if r.ok]
     if len(evaluated) >= cfg.top_k:
-        top = board.top(cfg.top_k)
-        for mode in ("hard", "soft"):
-            try:
-                ensemble = build_ensemble(top, mode, train, cfg, pca)
-                record = evaluate_ensemble(
-                    ensemble, test, seed_used=derive_seed(cfg.master_seed, "ensemble", mode)
-                )
-            except Exception as exc:
-                record = EvaluationRecord(
-                    model_label=f"vote_{mode}",
-                    sampler_label="top_k_members",
-                    dims_label="",
-                    seed_used=0,
-                    status="failed",
-                    error=f"{type(exc).__name__}: {exc}",
-                    tie_key=(float("inf"), "vote", mode),
-                )
-            ensemble_records.append(record)
+        seeds = {
+            mode: derive_seed(cfg.master_seed, "ensemble", mode) for mode in ("hard", "soft")
+        }
+        try:
+            members = build_ensemble(board.top(cfg.top_k), train, cfg, pca)
+        except Exception as exc:  # a member that cannot be fitted fails both votes
+            ensemble_records = [
+                _failed(_vote_record(mode, seed), exc) for mode, seed in seeds.items()
+            ]
+        else:
+            ensemble_records = [
+                evaluate_ensemble(members, mode, test, seed_used=seed)
+                for mode, seed in seeds.items()
+            ]
         comparison = _compare_ensembles(ensemble_records, cfg.metric_key)
 
-    board = rank(list(records) + ensemble_records, cfg.metric_key, tie_breaker)
+    board = rank(list(records) + ensemble_records, cfg.metric_key)
     return SearchResult(
         leaderboard=board,
         cell_records=records,

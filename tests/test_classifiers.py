@@ -11,7 +11,7 @@ from imbselect.classifiers import (
     CLASSIFIER_REGISTRY,
     ClassifierSpec,
     make_classifier,
-    train,
+    register_classifier,
 )
 from imbselect.classifiers.boosting import DiscreteAdaBoost, RealAdaBoost
 from imbselect.classifiers.dummy import ConstantPositive
@@ -69,7 +69,7 @@ def blob_data(n=80, p=4, separation=2.0, pos_frac=0.3, seed=0):
 
 
 def fitted(kind, X, y, seed=0):
-    return train(ClassifierSpec(kind, SMALL_PARAMS.get(kind, {})), X, y, seed=seed)
+    return make_classifier(ClassifierSpec(kind, SMALL_PARAMS.get(kind, {})), seed).fit(X, y)
 
 
 # ---------------------------------------------------------------------------
@@ -356,10 +356,17 @@ def test_make_classifier_derives_distinct_seeds():
     assert a.seed != b.seed
 
 
-def test_seed_salt_decouples_streams():
-    a = make_classifier(ClassifierSpec("perceptron", seed_salt=0), seed=5)
-    b = make_classifier(ClassifierSpec("perceptron", seed_salt=1), seed=5)
-    assert a.seed != b.seed
+def test_registered_kind_gets_a_seed_when_its_constructor_takes_one(monkeypatch):
+    class SeededConstant(ConstantPositive):
+        def __init__(self, seed=0):
+            self.seed = seed
+
+    monkeypatch.setitem(CLASSIFIER_REGISTRY, "seeded_constant", ConstantPositive)
+    register_classifier("seeded_constant", SeededConstant)
+    model = make_classifier(ClassifierSpec("seeded_constant"), seed=5)
+    assert model.seed == derive_seed(5, 0, "seeded_constant")
+    assert make_classifier(ClassifierSpec("seeded_constant", {"seed": 3})).seed == 3
+    assert not hasattr(make_classifier(ClassifierSpec("dummy"), seed=5), "seed")
 
 
 def test_get_params_round_trip():

@@ -222,3 +222,22 @@ def test_load_config_round_trip(tmp_path, fixture_csv):
         "dummy", "gaussian_nb", "ridge",
     ]
     assert config.standardize_columns == ("Time", "Amount")
+
+
+@pytest.mark.parametrize(
+    "grid, label",
+    [
+        ({"classifiers": "knn, dummy, knn"}, "knn"),
+        ({"samplers": "iht, none, instance_hardness_threshold"}, "instance_hardness"),
+    ],
+)
+def test_duplicate_grid_entry_is_config_error(tmp_path, fixture_csv, capsys, grid, label):
+    config = write_config(tmp_path, fixture_csv, **grid)
+    assert main(["validate", "--config", str(config)]) == 2
+    assert any(
+        d.startswith("error:") and "more than once" in d and label in d
+        for d in validate_config(config)
+    )
+    assert main(["run", "--config", str(config)]) == 2
+    assert "more than once" in capsys.readouterr().err
+    assert not (tmp_path / "out").exists()

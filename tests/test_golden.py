@@ -1,10 +1,14 @@
-"""Golden bytes: the sha256 of ``leaderboard.csv`` for a small fixed grid.
+"""Golden bytes: the sha256 of ``leaderboard.csv`` for small fixed grids.
 
 Reruns agreeing with each other (criterion 10) cannot show that a change
-to a kernel left the output alone; these pins can. The grid covers the
-``V<n>`` slice and the PCA path, the samplers ``none``, instance-hardness
-threshold and SMOTE, and the tree, forest and k-NN classifiers. A change
-that is meant to move the bytes re-pins here and says so in CHANGES.md.
+to a kernel left the output alone; these pins can. The first grid covers
+the ``V<n>`` slice and the PCA path, the samplers ``none``,
+instance-hardness threshold and SMOTE, and the tree, forest and k-NN
+classifiers. The second covers every sampler kind and every classifier
+that takes a seed, with each sampler option set away from its default,
+so that a change to how specs become estimators and seeds shows here. A
+change that is meant to move the bytes re-pins here and says so in
+CHANGES.md.
 """
 
 import hashlib
@@ -18,10 +22,10 @@ GOLDEN_SHA256 = {
     "encoded": "8a5fa9ac45dd4267cb77edd39dab61c3e3a09f3010a835fbd97be950971df4c7",
     "pca": "448bdad18471dee18a586477f6516de71afd8b5e1e805196777ed2aa6de370d0",
 }
+EVERY_SEEDED_KIND_SHA256 = "5c4c350aed6e42b26ffc70528e9a6248368cc317813fd554eea73dca9c910900"
 
 
-@pytest.mark.parametrize("path", sorted(GOLDEN_SHA256))
-def test_leaderboard_bytes_are_pinned(tmp_path, path):
+def _leaderboard_sha256(tmp_path, pre_encoded, grid, sections):
     data = tmp_path / "golden.csv"
     make_fixture(
         "gaussian-imbalanced", 600, 0.05, seed=5, out_path=data,
@@ -34,13 +38,11 @@ def test_leaderboard_bytes_are_pinned(tmp_path, path):
 path = {data}
 label_column = Class
 positive_label = 1
-pre_encoded = {"true" if path == "encoded" else "false"}
+pre_encoded = {"true" if pre_encoded else "false"}
 standardize_columns = Time, Amount
 
 [grid]
-dims = 2, 5
-samplers = none, iht, smote
-classifiers = decision_tree, random_forest, knn
+{grid}
 metric = f1
 top_k = 3
 test_fraction = 0.25
@@ -51,14 +53,58 @@ dir = {tmp_path / 'out'}
 formats = csv
 workers = 1
 
-[sampler.instance_hardness_threshold]
-target_ratio = 0.2
-
-[classifier.random_forest]
-n_trees = 10
+{sections}
 """,
         encoding="utf-8",
     )
     assert main(["run", "--config", str(config)]) == 0
     board = (tmp_path / "out" / "leaderboard.csv").read_bytes()
-    assert hashlib.sha256(board).hexdigest() == GOLDEN_SHA256[path]
+    return hashlib.sha256(board).hexdigest()
+
+
+@pytest.mark.parametrize("path", sorted(GOLDEN_SHA256))
+def test_leaderboard_bytes_are_pinned(tmp_path, path):
+    digest = _leaderboard_sha256(
+        tmp_path,
+        pre_encoded=path == "encoded",
+        grid="""dims = 2, 5
+samplers = none, iht, smote
+classifiers = decision_tree, random_forest, knn""",
+        sections="""[sampler.instance_hardness_threshold]
+target_ratio = 0.2
+
+[classifier.random_forest]
+n_trees = 10""",
+    )
+    assert digest == GOLDEN_SHA256[path]
+
+
+def test_every_sampler_and_seeded_classifier_is_pinned(tmp_path):
+    digest = _leaderboard_sha256(
+        tmp_path,
+        pre_encoded=True,
+        grid="""dims = 4
+samplers = none, random_under, iht, random_over, smote, adasyn
+classifiers = decision_tree, random_forest, perceptron, sgd_hinge, passive_aggressive
+cv_folds = 3""",
+        sections="""[sampler.random_under]
+target_ratio = 0.5
+with_replacement = true
+
+[sampler.instance_hardness_threshold]
+target_ratio = 0.2
+
+[sampler.random_over]
+target_ratio = 0.5
+
+[sampler.smote]
+k_neighbors = 3
+
+[sampler.adasyn]
+target_ratio = 0.8
+k_neighbors = 4
+
+[classifier.random_forest]
+n_trees = 10""",
+    )
+    assert digest == EVERY_SEEDED_KIND_SHA256

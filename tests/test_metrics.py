@@ -112,9 +112,8 @@ def test_published_forest_row_reconstruction():
     assert M.auroc_point(RF_MATRIX) == pytest.approx(0.85709009968647, abs=1e-12)
     assert M.matthews(RF_MATRIX) == pytest.approx(0.8108304530764076, abs=1e-12)
     assert M.cohen_kappa(RF_MATRIX) == pytest.approx(0.8043035855533456, abs=1e-12)
-    rates = M.basic_rates(RF_MATRIX)
-    assert rates["accuracy"] == pytest.approx(0.999403110845827, abs=1e-12)
-    assert rates["hamming_loss"] == pytest.approx(0.0005968891541729574, abs=1e-12)
+    assert M.accuracy(RF_MATRIX) == pytest.approx(0.999403110845827, abs=1e-12)
+    assert M.hamming_loss(RF_MATRIX) == pytest.approx(0.0005968891541729574, abs=1e-12)
 
 
 def test_published_neighbors_row_single_point_area():
@@ -127,9 +126,8 @@ def test_published_neighbors_row_single_point_area():
 
 def test_perfect_matrix():
     c = M.ConfusionMatrix(tp=10, fp=0, fn=0, tn=90)
-    rates = M.basic_rates(c)
-    assert rates["accuracy"] == rates["precision"] == rates["recall"] == 1.0
-    assert rates["hamming_loss"] == 0.0
+    assert M.accuracy(c) == M.precision(c) == M.recall(c) == 1.0
+    assert M.hamming_loss(c) == 0.0
     assert M.auroc_point(c) == 1.0
 
 

@@ -1,13 +1,14 @@
 import numpy as np
 import pytest
 
-from imbselect.base import derive_rng
+from imbselect.base import derive_rng, derive_seed
 from imbselect.dataset import Dataset
 from imbselect.sampling import (
     Adasyn,
     InstanceHardnessThreshold,
     RandomOverSampler,
     RandomUnderSampler,
+    SAMPLER_KINDS,
     SamplerSpec,
     Smote,
     adasyn_generation_counts,
@@ -283,3 +284,19 @@ class TestResampleContract:
             input_rows = set(map(tuple, X.tolist()))
             assert all(tuple(row) in input_rows for row in Xr.tolist())
             assert abs(yr.sum() / (yr == 0).sum() - ratio) <= 1 / (yr == 0).sum() + 1e-12
+
+
+@pytest.mark.parametrize("kind", SAMPLER_KINDS)
+def test_make_sampler_takes_every_argument_from_the_spec(kind):
+    spec = SamplerSpec(
+        kind, target_ratio=0.5, k_neighbors=3, with_replacement=True, iht_folds=4
+    )
+    expected = {
+        "target_ratio": 0.5,
+        "k_neighbors": 3,
+        "with_replacement": True,
+        "n_folds": 4,
+        "seed": derive_seed(9, 0, kind),
+    }
+    params = make_sampler(spec, seed=9).get_params()
+    assert params == {name: expected[name] for name in params}

@@ -1,6 +1,8 @@
 import numpy as np
 import pytest
 
+from imbselect import search as search_module
+from imbselect.base import derive_seed
 from imbselect.classifiers import ClassifierSpec
 from imbselect.dataset import Dataset, stratified_split
 from imbselect.metrics import MetricRecord
@@ -8,6 +10,7 @@ from imbselect.sampling import SamplerSpec
 from imbselect.search import (
     CellPipeline,
     EvaluationRecord,
+    GridCell,
     GridConfig,
     VotingEnsemble,
     build_ensemble,
@@ -72,7 +75,7 @@ def fake_record(label, f1, time_s=1.0, dims=1, index=0, status="ok"):
         metrics=metrics,
         status=status,
         error="" if status == "ok" else "boom",
-        tie_key=(dims, "none", label),
+        cell=GridCell(index, dims, SamplerSpec("none"), ClassifierSpec("dummy")),
     )
 
 
@@ -82,7 +85,7 @@ class TestEnumerate:
             dims_list=tuple(range(1, 29)),
             sampler_specs=(SamplerSpec("none"),),
             classifier_specs=tuple(
-                ClassifierSpec("dummy", seed_salt=i) for i in range(15)
+                ClassifierSpec("dummy") for _ in range(15)
             ),
             top_k=3,
         )
@@ -102,7 +105,7 @@ class TestEnumerate:
                 )
             ),
             classifier_specs=tuple(
-                ClassifierSpec("dummy", seed_salt=i) for i in range(15)
+                ClassifierSpec("dummy") for _ in range(15)
             ),
         )
         assert len(enumerate_grid(cfg)) == 75
@@ -202,14 +205,6 @@ class TestRank:
         records = [fake_record("a", 0.81), fake_record("b", 0.83), fake_record("c", 0.80)]
         board = rank(records, "f1")
         assert [r.model_label for r in board.records] == ["b", "a", "c"]
-
-    def test_tie_broken_by_train_time(self):
-        records = [
-            fake_record("slow", 0.8, time_s=9.0),
-            fake_record("fast", 0.8, time_s=1.0),
-        ]
-        board = rank(records, "f1", tie_breaker="train_time")
-        assert [r.model_label for r in board.records] == ["fast", "slow"]
 
     def test_default_tie_is_lexicographic(self):
         records = [
@@ -359,9 +354,9 @@ class TestRunSearch:
             dims_list=(2,),
             sampler_specs=(SamplerSpec("none"),),
             classifier_specs=(
-                ClassifierSpec("dummy", seed_salt=0),
-                ClassifierSpec("dummy", seed_salt=1),
-                ClassifierSpec("dummy", seed_salt=2),
+                ClassifierSpec("dummy"),
+                ClassifierSpec("dummy"),
+                ClassifierSpec("dummy"),
             ),
         )
         result = run_search(train, test, cfg)
@@ -386,9 +381,47 @@ def test_build_ensemble_members_use_own_pipelines():
     )
     result = run_search(train, test, cfg)
     top = result.leaderboard.top(3)
-    ensemble = build_ensemble(top, "hard", train, cfg)
-    dims_used = {member.cell.dims for member in ensemble.members}
-    assert len(ensemble.members) == 3
-    assert dims_used <= {2, 4}
-    record = evaluate_ensemble(ensemble, test)
+    members = build_ensemble(top, train, cfg)
+    assert [member.cell for member in members] == [record.cell for record in top]
+    assert {member.cell.dims for member in members} <= {2, 4}
+    record = evaluate_ensemble(members, "hard", test, seed_used=0)
     assert record.ok
+
+
+def record_builds(monkeypatch, fail_after=None):
+    """Log every classifier the search builds; raise after ``fail_after``."""
+    built = []
+    real = search_module.make_classifier
+
+    def logged(spec, seed=0):
+        built.append(spec)
+        if fail_after is not None and len(built) > fail_after:
+            raise RuntimeError("member refit failed")
+        return real(spec, seed=seed)
+
+    monkeypatch.setattr(search_module, "make_classifier", logged)
+    return built
+
+
+def test_ensemble_members_are_fit_once_for_both_votes(monkeypatch):
+    train, test = split_fixture(fixture_dataset())
+    cfg = small_config(top_k=2)
+    built = record_builds(monkeypatch)
+    result = run_search(train, test, cfg)
+    assert len(built) == cfg.grid_size + cfg.top_k
+    hard, soft = result.ensemble_records
+    assert hard.error == "ValueError: hard voting requires an odd member count"
+    assert soft.ok
+
+
+def test_member_fit_failure_fails_both_votes_with_derived_seeds(monkeypatch):
+    train, test = split_fixture(fixture_dataset())
+    cfg = small_config()
+    built = record_builds(monkeypatch, fail_after=cfg.grid_size)
+    result = run_search(train, test, cfg)
+    assert result.failed_cells == 0
+    assert len(built) == cfg.grid_size + 1
+    for record, mode in zip(result.ensemble_records, ("hard", "soft")):
+        assert record.model_label == f"vote_{mode}"
+        assert record.error == "RuntimeError: member refit failed"
+        assert record.seed_used == derive_seed(cfg.master_seed, "ensemble", mode)
