@@ -121,16 +121,14 @@ def cmd_run(args):
     if "csv" in config.report_formats:
         write_leaderboard_csv(out_dir / "leaderboard.csv", result)
         write_timings_csv(out_dir / "timings.csv", result)
-        write_figure_series(out_dir / "figures", result, grid)
+        write_figure_series(out_dir / "figures", result)
     if "json" in config.report_formats:
         write_leaderboard_json(out_dir / "leaderboard.json", result)
     write_manifest(
         out_dir / "run_manifest.json",
         result,
-        grid,
         dataset_sha256=sha256,
         dataset_path=config.dataset_path,
-        grid_size=grid.grid_size,
     )
 
     best = next((r for r in result.leaderboard.records if r.ok), None)

@@ -19,7 +19,7 @@ from .classifiers import CLASSIFIER_REGISTRY, ClassifierSpec
 from .decomposition import encoded_column_names
 from .metrics import METRIC_KEYS
 from .sampling import SAMPLER_KINDS, SamplerSpec
-from .search import GridConfig
+from .search import GridConfig, clamp_dims
 
 SAMPLER_ALIASES = {"iht": "instance_hardness_threshold"}
 SAMPLER_OPTIONS = {f.name for f in dataclasses.fields(SamplerSpec)} - {"kind"}
@@ -189,8 +189,11 @@ def _read(path, overrides):
     if not classifier_specs:
         errors.append("grid.classifiers must name at least one classifier")
     # repeated entries would give leaderboard rows that cannot be told apart
-    for option, specs in (("samplers", sampler_specs), ("classifiers", classifier_specs)):
-        labels = [spec.label for spec in specs]
+    for option, labels in (
+        ("dims", list(dims_list)),
+        ("samplers", [spec.label for spec in sampler_specs]),
+        ("classifiers", [spec.label for spec in classifier_specs]),
+    ):
         for label in sorted({label for label in labels if labels.count(label) > 1}):
             errors.append(f"grid.{option} lists {label!r} more than once")
 
@@ -219,7 +222,7 @@ def _read(path, overrides):
         if fmt not in ("csv", "json"):
             errors.append(f"unknown report format {fmt!r}")
 
-    ds_errors, ds_warnings = _dataset_diagnostics(
+    ds_errors, ds_warnings, width = _dataset_diagnostics(
         dataset_path, label_column, pre_encoded, encoded_prefix, dims_list,
         standardize_columns, keep_raw_columns,
     )
@@ -241,6 +244,10 @@ def _read(path, overrides):
                 encoded_prefix=encoded_prefix,
                 keep_raw_columns=keep_raw_columns,
             )
+            if width:
+                # dims entries that clamp to one width run once, which can
+                # leave fewer cells than top_k
+                clamp_dims(grid, width)
         except ValueError as exc:
             errors.append(str(exc))
     if errors:
@@ -262,27 +269,28 @@ def _read(path, overrides):
 
 def _dataset_diagnostics(path, label_column, pre_encoded, prefix, dims_list,
                          standardize_columns, keep_raw_columns):
-    """Header-only checks; the dataset body is not read here."""
+    """Header-only checks; the dataset body is not read here. Also returns
+    the width dims are clamped to, or 0 when the header cannot tell."""
     errors = []
     warnings = []
     if not path:
-        return errors, warnings
+        return errors, warnings, 0
     if not os.path.exists(path):
         errors.append(f"dataset file not found: {path}")
-        return errors, warnings
+        return errors, warnings, 0
     try:
         with open(path, newline="", encoding="utf-8") as handle:
             header = next(csv.reader(handle), None)
     except OSError as exc:
         errors.append(f"dataset file unreadable: {exc}")
-        return errors, warnings
+        return errors, warnings, 0
     if not header:
         errors.append(f"dataset file has no header row: {path}")
-        return errors, warnings
+        return errors, warnings, 0
     header = [h.strip() for h in header]
     if label_column and label_column not in header:
         errors.append(f"label column {label_column!r} not in dataset header")
-        return errors, warnings
+        return errors, warnings, 0
     features = [h for h in header if h != label_column]
     for name in list(standardize_columns) + list(keep_raw_columns):
         if name not in features:
@@ -298,4 +306,4 @@ def _dataset_diagnostics(path, label_column, pre_encoded, prefix, dims_list,
             warnings.append(
                 f"dims={dims} exceeds dataset width {width}; it will be clamped"
             )
-    return errors, warnings
+    return errors, warnings, width

@@ -109,11 +109,13 @@ def write_leaderboard_json(path, result):
     Path(path).write_text(json.dumps(payload, indent=2) + "\n", encoding="utf-8")
 
 
-def write_figure_series(directory, result, cfg, metrics=("f1", "gmean")):
+def write_figure_series(directory, result, metrics=("f1", "gmean")):
     """One CSV per (sampler, metric): rows are dims, columns are classifiers.
 
-    Mirrors the score-vs-dimensionality and score-vs-balancing panels.
+    Mirrors the score-vs-dimensionality and score-vs-balancing panels. The
+    rows are the dims of the grid that ran, after clamping.
     """
+    cfg = result.grid
     directory = Path(directory)
     directory.mkdir(parents=True, exist_ok=True)
     wanted = list(dict.fromkeys(list(metrics) + [cfg.metric_key]))
@@ -149,9 +151,9 @@ def _safe(label):
     return "".join(ch if ch.isalnum() else "_" for ch in label)
 
 
-def write_manifest(path, result, cfg, dataset_sha256, dataset_path, grid_size):
+def write_manifest(path, result, dataset_sha256, dataset_path):
     payload = {
-        "master_seed": cfg.master_seed,
+        "master_seed": result.grid.master_seed,
         "package_version": __version__,
         "python_version": sys.version.split()[0],
         "numpy_version": np.__version__,
@@ -159,7 +161,7 @@ def write_manifest(path, result, cfg, dataset_sha256, dataset_path, grid_size):
         "dataset_path": str(dataset_path),
         "dataset_sha256": dataset_sha256,
         "test_split_checksum": result.test_checksum,
-        "grid_size": grid_size,
+        "grid_size": result.grid.grid_size,
         "failed_cells": result.failed_cells,
         "wall_seconds": result.wall_seconds,
         "clamp_warnings": list(result.clamp_warnings),

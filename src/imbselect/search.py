@@ -115,16 +115,20 @@ def enumerate_grid(cfg):
 
 
 def clamp_dims(cfg, width):
-    """Cap dims entries at the dataset's usable width; report what changed."""
-    clamped = tuple(min(d, width) for d in cfg.dims_list)
-    warnings = [
-        f"dims={orig} exceeds available width {width}; clamped to {new}"
-        for orig, new in zip(cfg.dims_list, clamped)
-        if new != orig
-    ]
+    """Cap dims entries at the dataset's usable width and keep the first
+    entry of each resulting width; report what changed."""
+    kept, warnings = [], []
+    for orig in cfg.dims_list:
+        new = min(orig, width)
+        if new != orig:
+            warnings.append(f"dims={orig} exceeds available width {width}; clamped to {new}")
+        if new in kept:
+            warnings.append(f"dims={orig} repeats width {new} already in the grid; dropped")
+        else:
+            kept.append(new)
     if not warnings:
         return cfg, []
-    return replace(cfg, dims_list=clamped), warnings
+    return replace(cfg, dims_list=tuple(kept)), warnings
 
 
 class CellPipeline:
@@ -356,6 +360,7 @@ class SearchResult:
     clamp_warnings: list
     test_checksum: str
     wall_seconds: float
+    grid: GridConfig  # the grid that ran: dims clamped to the data's width
     failed_cells: int = 0
     ensemble_comparison: str = ""
 
@@ -434,6 +439,7 @@ def run_search(train, test, cfg, workers=1):
         clamp_warnings=clamp_warnings,
         test_checksum=checksum,
         wall_seconds=time.perf_counter() - started,
+        grid=cfg,
         failed_cells=sum(1 for r in records if not r.ok),
         ensemble_comparison=comparison,
     )

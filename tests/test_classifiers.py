@@ -17,8 +17,12 @@ from imbselect.classifiers.boosting import DiscreteAdaBoost, RealAdaBoost
 from imbselect.classifiers.dummy import ConstantPositive
 from imbselect.classifiers.forest import RandomForestClassifier
 from imbselect.classifiers.gaussian import GaussianNaiveBayes, QuadraticDiscriminant
+from imbselect.classifiers import linear as linear_module
 from imbselect.classifiers.linear import (
+    HingeSGD,
     LogisticRegression,
+    PassiveAggressive,
+    Perceptron,
     RidgeClassifier,
     logistic_gradient,
     logistic_loss,
@@ -547,3 +551,130 @@ def test_fitted_trees_keep_no_presort_or_counts():
     assert set(vars(tree)) == tree_keys | {"fit_flags_", "train_time_s_", "n_features_in_"}
     forest = RandomForestClassifier(n_trees=3, seed=1).fit(X, y)
     assert all(set(vars(t)) == tree_keys for t in forest.trees_)
+
+
+# ---------------------------------------------------------------------------
+# block-screened online models against their per-row loops
+# ---------------------------------------------------------------------------
+
+def reference_perceptron(X, y, epochs, learning_rate, seed):
+    signs = 2.0 * y - 1.0
+    w, b = np.zeros(X.shape[1]), 0.0
+    for epoch in range(epochs):
+        mistakes = 0
+        for i in derive_rng(seed, "shuffle", epoch).permutation(X.shape[0]):
+            if signs[i] * (X[i] @ w + b) <= 0.0:
+                w += learning_rate * signs[i] * X[i]
+                b += learning_rate * signs[i]
+                mistakes += 1
+        if mistakes == 0:
+            break
+    return w, b
+
+
+def reference_hinge_sgd(X, y, epochs, l2, eta0, seed):
+    signs = 2.0 * y - 1.0
+    w, b = np.zeros(X.shape[1]), 0.0
+    t0, t = 1.0 / (l2 * eta0), 0
+    for epoch in range(epochs):
+        for i in derive_rng(seed, "shuffle", epoch).permutation(X.shape[0]):
+            t += 1
+            eta = 1.0 / (l2 * (t0 + t))
+            w *= 1.0 - eta * l2
+            if signs[i] * (X[i] @ w + b) < 1.0:
+                w += eta * signs[i] * X[i]
+                b += eta * signs[i]
+    return w, b
+
+
+def reference_passive_aggressive(X, y, epochs, aggressiveness, seed):
+    signs = 2.0 * y - 1.0
+    w, b = np.zeros(X.shape[1]), 0.0
+    sq_norms = (X * X).sum(axis=1) + 1.0
+    for epoch in range(epochs):
+        for i in derive_rng(seed, "shuffle", epoch).permutation(X.shape[0]):
+            loss = 1.0 - signs[i] * (X[i] @ w + b)
+            if loss > 0.0:
+                tau = min(aggressiveness, loss / sq_norms[i])
+                w += tau * signs[i] * X[i]
+                b += tau * signs[i]
+    return w, b
+
+
+# kind: (model, per-row loop, two parameter sets)
+ONLINE_MODELS = {
+    "perceptron": (
+        Perceptron, reference_perceptron,
+        [{"learning_rate": 1.0}, {"learning_rate": 0.37}],
+    ),
+    "sgd_hinge": (
+        HingeSGD, reference_hinge_sgd,
+        [{"l2": 1e-4, "eta0": 0.01}, {"l2": 0.05, "eta0": 0.5}],
+    ),
+    "passive_aggressive": (
+        PassiveAggressive, reference_passive_aggressive,
+        [{"aggressiveness": 1.0}, {"aggressiveness": 0.1}],
+    ),
+}
+
+
+@st.composite
+def online_problems(draw):
+    n = draw(st.integers(2, 700))
+    # the shipped grids fit d up to 28; wide rows take blocked summation orders
+    d = draw(st.one_of(st.integers(1, 6), st.sampled_from([8, 16, 28, 33, 40])))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    if draw(st.booleans()):  # few levels: tied margins
+        X = rng.integers(-2, 3, (n, d)) * 0.5
+    else:
+        X = rng.normal(size=(n, d))
+    constant = draw(st.lists(st.integers(0, d - 1), max_size=d))
+    X[:, constant] = 1.25
+    # 50/50 updates on nearly every row; 0.2% positives update rarely
+    y = (rng.random(n) < draw(st.sampled_from([0.5, 0.002]))).astype(np.int64)
+    y[0], y[-1] = 0, 1
+    X += draw(st.sampled_from([0.0, 2.0])) * y[:, None]
+    X *= draw(st.sampled_from([1.0, 1e6]))
+    if draw(st.booleans()):  # duplicate rows, some with the other label
+        X = np.vstack([X, X[: n // 2]])
+        y = np.concatenate([y, 1 - y[: n // 2] if draw(st.booleans()) else y[: n // 2]])
+    return X, y
+
+
+def assert_same_bits(actual, expected):
+    assert np.array_equal(
+        np.asarray(actual, dtype=np.float64).view(np.int64),
+        np.asarray(expected, dtype=np.float64).view(np.int64),
+    )
+
+
+@pytest.mark.parametrize("kind", sorted(ONLINE_MODELS))
+@settings(max_examples=40, deadline=None)
+@given(
+    problem=online_problems(),
+    params=st.integers(0, 1),
+    epochs=st.integers(1, 4),
+    exact_run=st.sampled_from([1, linear_module._EXACT_RUN, 10**9]),
+    min_block=st.sampled_from([1, 3, linear_module._MIN_BLOCK]),
+    max_block=st.sampled_from([1, 2, 7, linear_module._MAX_BLOCK]),
+    seed=st.integers(0, 2**31),
+)
+def test_screened_online_model_matches_per_row_loop(
+    kind, problem, params, epochs, exact_run, min_block, max_block, seed
+):
+    # exact_run 10**9 keeps every row after the first update on the per-row
+    # path; 1 screens blocks after every clean row; the short blocks put
+    # updates on block edges
+    X, y = problem
+    model_cls, reference, param_sets = ONLINE_MODELS[kind]
+    kwargs = param_sets[params]
+    with mock.patch.multiple(
+        linear_module,
+        _EXACT_RUN=exact_run,
+        _MIN_BLOCK=min(min_block, max_block),
+        _MAX_BLOCK=max_block,
+    ):
+        model = model_cls(epochs=epochs, seed=seed, **kwargs).fit(X, y)
+    w, b = reference(X, y, epochs=epochs, seed=seed, **kwargs)
+    assert_same_bits(model.coef_, w)
+    assert_same_bits(model.intercept_, b)

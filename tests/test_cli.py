@@ -112,6 +112,17 @@ class TestValidate:
         assert any("top_k" in d and "exceeds" in d for d in diagnostics)
         assert main(["validate", "--config", str(config)]) == 2
 
+    def test_top_k_above_clamped_grid(self, tmp_path, fixture_csv):
+        config = write_config(
+            tmp_path, fixture_csv, dims="40, 50", samplers="none", classifiers="ridge",
+            top_k="2",
+        )
+        assert any(
+            d.startswith("error:") and "top_k 2 exceeds the grid size 1" in d
+            for d in validate_config(config)
+        )
+        assert main(["run", "--config", str(config)]) == 2
+
     def test_dims_beyond_width_is_clamp_warning(self, tmp_path, fixture_csv):
         config = write_config(tmp_path, fixture_csv, dims="2, 40")
         diagnostics = validate_config(config)
@@ -155,6 +166,23 @@ class TestRun:
         assert "f1__none.csv" in figures
         series = list(csv.reader(open(out / "figures" / "f1__none.csv", encoding="utf-8")))
         assert len(series) - 1 == 2  # one row per dims entry
+
+    def test_reports_follow_the_clamped_grid(self, tmp_path, fixture_csv):
+        # the fixture has 5 encoded columns: 40 and 50 both run as dims 5
+        config = write_config(tmp_path, fixture_csv, dims="3, 40, 50")
+        assert main(["run", "--config", str(config)]) == 0
+        out = tmp_path / "out"
+        rows = list(csv.reader(open(out / "leaderboard.csv", encoding="utf-8")))
+        assert len(rows) - 1 == 14  # 2 dims x 2 samplers x 3 classifiers + 2 votes
+        keys = [(row[1], row[2], row[3]) for row in rows[1:]]
+        assert len(set(keys)) == len(keys)
+        manifest = json.loads((out / "run_manifest.json").read_text())
+        assert manifest["grid_size"] == 12
+        assert any("dropped" in w for w in manifest["clamp_warnings"])
+        for path in (out / "figures").glob("*.csv"):
+            series = list(csv.reader(open(path, encoding="utf-8")))
+            assert [row[0] for row in series[1:]] == ["3", "5"]
+            assert all(value != "" for row in series[1:] for value in row)
 
     def test_same_seed_byte_identical_leaderboards(self, tmp_path, fixture_csv):
         config = write_config(tmp_path, fixture_csv)
@@ -229,6 +257,7 @@ def test_load_config_round_trip(tmp_path, fixture_csv):
     [
         ({"classifiers": "knn, dummy, knn"}, "knn"),
         ({"samplers": "iht, none, instance_hardness_threshold"}, "instance_hardness"),
+        ({"dims": "2, 1..3"}, "grid.dims lists 2 "),
     ],
 )
 def test_duplicate_grid_entry_is_config_error(tmp_path, fixture_csv, capsys, grid, label):

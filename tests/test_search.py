@@ -150,6 +150,15 @@ class TestGridConfig:
         assert warnings == []
         assert cfg.dims_list == (2, 5)
 
+    def test_entries_clamped_to_one_width_run_once(self):
+        cfg, warnings = clamp_dims(small_config(dims_list=(9, 2, 7, 5)), width=5)
+        assert cfg.dims_list == (5, 2)
+        assert sum("clamped" in w for w in warnings) == 2
+        assert [w for w in warnings if "dropped" in w] == [
+            "dims=7 repeats width 5 already in the grid; dropped",
+            "dims=5 repeats width 5 already in the grid; dropped",
+        ]
+
 
 class TestEvaluateCell:
     def test_pipeline_produces_full_record(self):
@@ -320,6 +329,19 @@ class TestRunSearch:
         assert result.ensemble_comparison
         board_labels = {r.model_label for r in result.leaderboard.records}
         assert {"vote_hard", "vote_soft"} <= board_labels
+
+    def test_clamped_repeats_give_distinct_cells_and_votes(self):
+        train, test = split_fixture(fixture_dataset())
+        result = run_search(train, test, small_config(dims_list=(2, 40, 50)))
+        assert result.grid.dims_list == (2, 5)
+        assert result.grid.grid_size == len(result.cell_records) == 12
+        keys = [
+            (r.cell.dims, r.sampler_label, r.model_label) for r in result.leaderboard.records
+            if r.cell is not None
+        ]
+        assert len(keys) == len(set(keys)) == 12
+        top = result.leaderboard.top(3)
+        assert len({(r.cell.dims, r.sampler_label, r.model_label) for r in top}) == 3
 
     def test_worker_counts_agree(self):
         train, test = split_fixture(fixture_dataset())
