@@ -38,8 +38,6 @@ from .search import (
     EvaluationRecord,
     GridConfig,
     Leaderboard,
-    VotingEnsemble,
-    build_ensemble,
     enumerate_grid,
     evaluate_cell,
     evaluate_ensemble,
@@ -64,10 +62,8 @@ __all__ = [
     "SAMPLER_KINDS",
     "SamplerSpec",
     "SplitIndices",
-    "VotingEnsemble",
     "auroc_curve",
     "auroc_point",
-    "build_ensemble",
     "cohen_kappa",
     "confusion",
     "enumerate_grid",

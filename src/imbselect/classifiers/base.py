@@ -58,13 +58,6 @@ class BinaryClassifier(BaseEstimator):
         pos = self.predict_score(X)
         return np.column_stack([1.0 - pos, pos])
 
-    def decision_function(self, X):
-        if self.supports_probability:
-            raise RuntimeError(
-                f"{type(self).__name__} produces probabilities; use predict_proba"
-            )
-        return self.predict_score(X)
-
     def _fit(self, X, y):
         raise NotImplementedError
 

@@ -125,9 +125,6 @@ class PrincipalComponents(BaseEstimator):
         self._check_dims(dims)
         return Z @ self.components_[:dims] + self.mean_
 
-    def fit_transform(self, X, n_components=None):
-        return self.fit(X).transform(X, n_components)
-
 
 def encoded_column_names(feature_names, prefix="V"):
     """Columns named like V1..V28, ordered by their numeric suffix."""

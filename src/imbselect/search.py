@@ -5,12 +5,16 @@ reduce dimensionality (fit on train only), rebalance the training rows,
 fit the classifier, score the untouched test split. Cell seeds derive from
 (master_seed, cell index) alone, so leaderboards are identical no matter
 how many workers execute the grid.
+
+The hard and soft votes reuse the test scores the grid already computed
+for the top-k cells: nothing is refitted or rescored. Only those k score
+vectors are held until the votes are done.
 """
 
 import hashlib
 import time
 from concurrent.futures import ProcessPoolExecutor
-from dataclasses import dataclass, replace
+from dataclasses import dataclass, field, replace
 
 import numpy as np
 
@@ -90,6 +94,10 @@ class EvaluationRecord:
     status: str = "ok"
     error: str = ""
     cell: GridCell = None
+    # a cell's test scores and how its model reads them, kept for the votes
+    test_scores: np.ndarray = field(default=None, repr=False, compare=False)
+    decision_threshold: float = None
+    supports_probability: bool = None
 
     @property
     def ok(self):
@@ -131,48 +139,15 @@ def clamp_dims(cfg, width):
     return replace(cfg, dims_list=tuple(kept)), warnings
 
 
-class CellPipeline:
-    """One grid cell end to end: reduce, rebalance, fit; predict on raw rows."""
-
-    def __init__(self, cell, cfg, pca=None):
-        self.cell = cell
-        self.cfg = cfg
-        self.pca = pca
-        self.seed = derive_seed(cfg.master_seed, "cell", cell.index)
-
-    def _reduce(self, dataset):
-        if self.cfg.pre_encoded:
-            return select_encoded(
-                dataset,
-                self.cell.dims,
-                prefix=self.cfg.encoded_prefix,
-                keep=self.cfg.keep_raw_columns,
-            )
-        scores = self.pca.transform(dataset.features, n_components=self.cell.dims)
-        names = tuple(f"PC{i}" for i in range(1, self.cell.dims + 1))
-        return dataset.with_features(scores, names)
-
-    def fit(self, train):
-        if not self.cfg.pre_encoded and self.pca is None:
-            self.pca = PrincipalComponents().fit(train.features)
-        start = time.perf_counter()
-        reduced = self._reduce(train)
-        balanced = resample(self.cell.sampler, reduced, seed=self.seed)
-        self.model_ = make_classifier(self.cell.classifier, seed=self.seed).fit(
-            balanced.features, balanced.labels
+def _reduce(cell, cfg, pca, dataset):
+    """The cell's view of ``dataset``: its ``V<n>`` slice or its leading PCs."""
+    if cfg.pre_encoded:
+        return select_encoded(
+            dataset, cell.dims, prefix=cfg.encoded_prefix, keep=cfg.keep_raw_columns
         )
-        self.train_seconds_ = time.perf_counter() - start
-        return self
-
-    def predict(self, dataset):
-        return self.model_.predict(self._reduce(dataset).features)
-
-    def predict_score(self, dataset):
-        return self.model_.predict_score(self._reduce(dataset).features)
-
-    @property
-    def supports_probability(self):
-        return self.model_.supports_probability
+    scores = pca.transform(dataset.features, n_components=cell.dims)
+    names = tuple(f"PC{i}" for i in range(1, cell.dims + 1))
+    return dataset.with_features(scores, names)
 
 
 def _failed(record, exc):
@@ -181,27 +156,45 @@ def _failed(record, exc):
 
 
 def evaluate_cell(cell, train, test, cfg, pca=None):
-    """Full MetricRecord for one cell; failures become failed records."""
+    """Reduce, rebalance, fit and score the test split once.
+
+    The record keeps the test scores for the votes; failures become failed
+    records.
+    """
+    seed = derive_seed(cfg.master_seed, "cell", cell.index)
     record = EvaluationRecord(
         model_label=cell.classifier.label,
         sampler_label=cell.sampler.label,
         dims_label=str(cell.dims),
-        seed_used=derive_seed(cfg.master_seed, "cell", cell.index),
+        seed_used=seed,
         cell=cell,
     )
     try:
-        pipeline = CellPipeline(cell, cfg, pca).fit(train)
-        scores = pipeline.predict_score(test)
+        if not cfg.pre_encoded and pca is None:
+            pca = PrincipalComponents().fit(train.features)
+        start = time.perf_counter()
+        balanced = resample(cell.sampler, _reduce(cell, cfg, pca, train), seed=seed)
+        model = make_classifier(cell.classifier, seed=seed).fit(
+            balanced.features, balanced.labels
+        )
+        train_seconds = time.perf_counter() - start
+        scores = model.predict_score(_reduce(cell, cfg, pca, test).features)
         # the expression BinaryClassifier.predict applies, without rescoring
-        predictions = (scores >= pipeline.model_.decision_threshold).astype(np.int64)
+        predictions = (scores >= model.decision_threshold).astype(np.int64)
         metrics = metric_record(
             test.labels,
             predictions,
             scores,
-            train_time_seconds=pipeline.train_seconds_,
-            extra_flags=pipeline.model_.fit_flags_,
+            train_time_seconds=train_seconds,
+            extra_flags=model.fit_flags_,
         )
-        return replace(record, metrics=metrics)
+        return replace(
+            record,
+            metrics=metrics,
+            test_scores=scores,
+            decision_threshold=model.decision_threshold,
+            supports_probability=model.supports_probability,
+        )
     except Exception as exc:
         return _failed(record, exc)
 
@@ -224,6 +217,11 @@ def rank(records, metric_key):
     Exact metric ties resolve by (dims, sampler, model), with the vote rows
     after every grid cell, so report bytes never depend on timing.
     """
+    ordered = sorted(records, key=_rank_key(metric_key))
+    return Leaderboard(records=tuple(ordered), metric_key=metric_key)
+
+
+def _rank_key(metric_key):
     if metric_key not in METRIC_KEYS:
         raise KeyError(f"unknown metric key {metric_key!r}")
 
@@ -237,91 +235,61 @@ def rank(records, metric_key):
             (dims, record.sampler_label, record.model_label),
         )
 
-    ordered = sorted(records, key=key)
-    return Leaderboard(records=tuple(ordered), metric_key=metric_key)
+    return key
 
 
-class VotingEnsemble:
-    """Combine top-k cell pipelines by hard majority or mean soft score.
+def build_ensemble(top, record, cfg):
+    """Fold one cell record into ``top``, the running top-k vote members.
+
+    Records arrive in grid order and the sort is stable, so ties keep
+    their grid order: ``top`` always equals ``rank(seen).top(k)``.
+    """
+    if not record.ok:
+        return top
+    return sorted(top + [record], key=_rank_key(cfg.metric_key))[: cfg.top_k]
+
+
+def vote(members, mode):
+    """Hard majority or mean soft score over the members' test scores.
 
     Soft mode passes probability scores through untouched and min-max
-    normalizes margin scores over the evaluation batch; any normalized
-    member is flagged in the evaluation record.
+    normalizes margin scores over the test split. Returns the vote scores
+    and the labels of the members it normalized.
     """
-
-    def __init__(self, members, mode):
-        if mode not in ("hard", "soft"):
-            raise ValueError(f"unknown vote mode {mode!r}")
-        if mode == "hard" and len(members) % 2 == 0:
-            raise ValueError("hard voting requires an odd member count")
-        self.members = list(members)
-        self.mode = mode
-        self.normalized_members_ = []
-
-    @property
-    def train_seconds(self):
-        return sum(m.train_seconds_ for m in self.members)
-
-    def predict_score(self, dataset):
-        self.normalized_members_ = []
-        if self.mode == "hard":
-            votes = np.zeros(dataset.n_rows)
-            for member in self.members:
-                votes += member.predict(dataset)
-            return votes / len(self.members)
-        total = np.zeros(dataset.n_rows)
-        for i, member in enumerate(self.members):
-            scores = member.predict_score(dataset)
-            if not member.supports_probability:
-                low, high = scores.min(), scores.max()
-                scores = (
-                    np.full_like(scores, 0.5)
-                    if high == low
-                    else (scores - low) / (high - low)
-                )
-                self.normalized_members_.append(member.cell.classifier.label)
-            total += scores
-        return total / len(self.members)
-
-    def predict(self, dataset):
-        return (self.predict_score(dataset) >= 0.5).astype(np.int64)
+    if mode not in ("hard", "soft"):
+        raise ValueError(f"unknown vote mode {mode!r}")
+    if mode == "hard" and len(members) % 2 == 0:
+        raise ValueError("hard voting requires an odd member count")
+    total = np.zeros(len(members[0].test_scores))
+    normalized = []
+    for member in members:
+        scores = member.test_scores
+        if mode == "hard":
+            scores = scores >= member.decision_threshold
+        elif not member.supports_probability:
+            low, high = scores.min(), scores.max()
+            scores = np.full_like(scores, 0.5) if high == low else (scores - low) / (high - low)
+            normalized.append(member.model_label)
+        total += scores
+    return total / len(members), normalized
 
 
-def build_ensemble(top_records, train, cfg, pca=None):
-    """Refit the top cells on their own pipelines, once for both vote modes."""
-    members = []
-    for record in top_records:
-        if record.cell is None:
-            raise ValueError("ensemble members must come from grid cells")
-        members.append(CellPipeline(record.cell, cfg, pca).fit(train))
-    return members
-
-
-def _vote_record(mode, seed_used):
-    return EvaluationRecord(
+def evaluate_ensemble(members, mode, test, seed_used):
+    """One vote row; a hard vote over an even member count fails here."""
+    record = EvaluationRecord(
         model_label=f"vote_{mode}",
         sampler_label="top_k_members",
         dims_label="",
         seed_used=seed_used,
     )
-
-
-def evaluate_ensemble(members, mode, test, seed_used):
-    """One vote row; a hard vote over an even member count fails here."""
-    record = _vote_record(mode, seed_used)
     try:
-        ensemble = VotingEnsemble(members, mode)
-        scores = ensemble.predict_score(test)
-        predictions = (scores >= 0.5).astype(np.int64)
-        flags = (
-            {"soft_vote_margin_minmax"} if ensemble.normalized_members_ else set()
-        )
+        scores, normalized = vote(members, mode)
         metrics = metric_record(
             test.labels,
-            predictions,
+            (scores >= 0.5).astype(np.int64),
             scores,
-            train_time_seconds=ensemble.train_seconds,
-            extra_flags=flags,
+            train_time_seconds=sum(m.metrics.train_time_seconds for m in members),
+            extra_flags={"soft_vote_margin_minmax"} if normalized else set(),
         )
         dims = ",".join(str(d) for d in sorted({m.cell.dims for m in members}))
         return replace(record, dims_label=dims, metrics=metrics)
@@ -364,9 +332,14 @@ class SearchResult:
     failed_cells: int = 0
     ensemble_comparison: str = ""
 
-    @property
-    def all_records(self):
-        return list(self.cell_records) + list(self.ensemble_records)
+
+def _gather(outcomes, cfg):
+    """Cell records without their scores, and the top k that keep them."""
+    records, members = [], []
+    for record in outcomes:
+        members = build_ensemble(members, record, cfg)
+        records.append(replace(record, test_scores=None))
+    return records, members
 
 
 def run_search(train, test, cfg, workers=1):
@@ -397,38 +370,30 @@ def run_search(train, test, cfg, workers=1):
     if workers < 1:
         raise ValueError("workers must be >= 1")
     if workers == 1:
-        records = [evaluate_cell(cell, train, test, cfg, pca) for cell in cells]
+        outcomes = (evaluate_cell(cell, train, test, cfg, pca) for cell in cells)
+        records, members = _gather(outcomes, cfg)
     else:
         with ProcessPoolExecutor(
             max_workers=workers,
             initializer=_init_worker,
             initargs=(train, test, cfg, pca),
         ) as pool:
-            records = list(pool.map(_evaluate_in_worker, cells, chunksize=1))
-
-    board = rank(records, cfg.metric_key)
+            records, members = _gather(
+                pool.map(_evaluate_in_worker, cells, chunksize=1), cfg
+            )
 
     if dataset_checksum(test) != checksum:
         raise LeakageError("test split changed during the grid run")
 
     ensemble_records = []
     comparison = ""
-    evaluated = [r for r in board.records if r.ok]
-    if len(evaluated) >= cfg.top_k:
-        seeds = {
-            mode: derive_seed(cfg.master_seed, "ensemble", mode) for mode in ("hard", "soft")
-        }
-        try:
-            members = build_ensemble(board.top(cfg.top_k), train, cfg, pca)
-        except Exception as exc:  # a member that cannot be fitted fails both votes
-            ensemble_records = [
-                _failed(_vote_record(mode, seed), exc) for mode, seed in seeds.items()
-            ]
-        else:
-            ensemble_records = [
-                evaluate_ensemble(members, mode, test, seed_used=seed)
-                for mode, seed in seeds.items()
-            ]
+    if len(members) == cfg.top_k:
+        ensemble_records = [
+            evaluate_ensemble(
+                members, mode, test, seed_used=derive_seed(cfg.master_seed, "ensemble", mode)
+            )
+            for mode in ("hard", "soft")
+        ]
         comparison = _compare_ensembles(ensemble_records, cfg.metric_key)
 
     board = rank(list(records) + ensemble_records, cfg.metric_key)

@@ -22,7 +22,6 @@ from imbselect import (
     Dataset,
     GridConfig,
     SamplerSpec,
-    VotingEnsemble,
     confusion,
     enumerate_grid,
     load_csv,
@@ -41,6 +40,7 @@ from imbselect.sampling import (
     RandomUnderSampler,
     Smote,
 )
+from imbselect.search import EvaluationRecord, vote
 
 SEED = 20170831
 
@@ -469,33 +469,22 @@ k_neighbors = 3
 # criterion 11: ensemble logic
 # ---------------------------------------------------------------------------
 
-class _CannedMember:
-    def __init__(self, label):
-        self._label = label
-        self.supports_probability = True
-        self.train_seconds_ = 0.0
-
-        class _Cell:
-            dims = 1
-            classifier = type("Spec", (), {"label": "canned"})()
-
-        self.cell = _Cell()
-
-    def predict(self, dataset):
-        return np.array([self._label])
-
-    def predict_score(self, dataset):
-        return np.array([float(self._label)])
+def _canned_member(label):
+    """A grid record as the votes see it: one probability score per row."""
+    return EvaluationRecord(
+        model_label="canned", sampler_label="none", dims_label="1", seed_used=0,
+        test_scores=np.array([float(label)]), decision_threshold=0.5,
+        supports_probability=True,
+    )
 
 
 @criterion(11, "ensemble logic")
 def test_criterion_11_ensembles(tmp_path):
-    one_row = Dataset(np.zeros((1, 1)), [1], ("V1",))
     for pattern in range(8):
         bits = [(pattern >> i) & 1 for i in range(3)]
-        ensemble = VotingEnsemble([_CannedMember(b) for b in bits], "hard")
+        scores, _ = vote([_canned_member(b) for b in bits], "hard")
         expected = 1 if sum(bits) >= 2 else 0  # exhaustive majority oracle
-        assert ensemble.predict(one_row)[0] == expected, bits
+        assert int(scores[0] >= 0.5) == expected, bits
 
     rng = np.random.default_rng(SEED + 11)
     X = np.vstack([rng.normal(0, 1, (160, 4)), rng.normal(2, 1, (40, 4))])

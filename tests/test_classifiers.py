@@ -381,32 +381,6 @@ def test_get_params_round_trip():
     assert clone.n_trees == 7 and clone.seed == 3
 
 
-def test_model_persistence_round_trip(tmp_path):
-    from imbselect.classifiers.persistence import load_model, save_model
-
-    X, y = blob_data(seed=30)
-    model = fitted("random_forest", X, y, seed=2)
-    path = tmp_path / "forest.model"
-    save_model(model, path)
-    restored = load_model(path)
-    Xq = np.random.default_rng(1).normal(0.5, 1.0, (25, X.shape[1]))
-    assert np.array_equal(model.predict_score(Xq), restored.predict_score(Xq))
-    assert restored.get_params() == model.get_params()
-
-
-def test_persistence_rejects_unfitted_and_bad_versions(tmp_path):
-    import pickle
-
-    from imbselect.classifiers.persistence import load_model, save_model
-
-    with pytest.raises(ValueError, match="unfitted"):
-        save_model(RidgeClassifier(), tmp_path / "x.model")
-    bad = tmp_path / "bad.model"
-    bad.write_bytes(pickle.dumps({"format_version": 99}))
-    with pytest.raises(ValueError, match="format version"):
-        load_model(bad)
-
-
 # ---------------------------------------------------------------------------
 # presorted CART against the per-node argsort reference
 # ---------------------------------------------------------------------------
@@ -543,7 +517,7 @@ def test_presorted_forest_trees_match_reference(problem, max_depth, max_features
 
 
 def test_fitted_trees_keep_no_presort_or_counts():
-    # persistence pickles __dict__, so fit-time arrays would bloat saved models
+    # presorts and row counts are fit-time scratch; a fitted model keeps only its nodes
     X, y = blob_data(n=200, seed=8)
     tree_keys = {"max_depth", "min_samples_split", "max_features", "seed",
                  "feature_", "threshold_", "left_", "right_", "prob_"}

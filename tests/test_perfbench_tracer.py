@@ -81,7 +81,9 @@ workers = 1
     assert out["code"] == 0
     calls = out["calls"]
     assert calls["search.cell"] == 2 * 2 * 3
-    assert out["refits"] == 3
+    # the votes reuse the grid's scores: each cell fits and scores once
+    assert out["refits"] == 0
+    assert calls["classifiers.fit"] == calls["classifiers.score"] == 2 * 2 * 3
     expected = {
         "dataset.load_csv", "dataset.split", "dataset.standardize",
         "decomposition.reduce", "sampling.resample", "classifiers.fit",

@@ -1,18 +1,22 @@
+from dataclasses import replace
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from imbselect import search as search_module
 from imbselect.base import derive_seed
-from imbselect.classifiers import ClassifierSpec
+from imbselect.classifiers import ClassifierSpec, make_classifier
 from imbselect.dataset import Dataset, stratified_split
-from imbselect.metrics import MetricRecord
-from imbselect.sampling import SamplerSpec
+from imbselect.decomposition import PrincipalComponents, select_encoded
+from imbselect.metrics import MetricRecord, metric_record
+from imbselect.sampling import SamplerSpec, resample
 from imbselect.search import (
-    CellPipeline,
     EvaluationRecord,
     GridCell,
     GridConfig,
-    VotingEnsemble,
+    _reduce,
     build_ensemble,
     clamp_dims,
     dataset_checksum,
@@ -21,6 +25,7 @@ from imbselect.search import (
     evaluate_ensemble,
     rank,
     run_search,
+    vote,
 )
 
 
@@ -194,8 +199,7 @@ class TestEvaluateCell:
         train, test = split_fixture(ds)
         cfg = small_config(pre_encoded=True)
         cell = enumerate_grid(cfg)[1]
-        pipeline = CellPipeline(cell, cfg).fit(train)
-        reduced = pipeline._reduce(test)
+        reduced = _reduce(cell, cfg, None, test)
         assert reduced.feature_names == ("V1", "V2")
         assert np.array_equal(reduced.features[:, 0], test.column("V1"))
 
@@ -246,75 +250,51 @@ class TestRank:
         assert [r.model_label for r in once] == [r.model_label for r in twice]
 
 
-class _FixedMember:
-    """Stand-in pipeline with canned outputs for vote-logic oracles."""
-
-    def __init__(self, labels, scores=None, proba=True):
-        self._labels = np.asarray(labels)
-        self._scores = self._labels.astype(float) if scores is None else np.asarray(scores)
-        self.supports_probability = proba
-        self.train_seconds_ = 1.0
-
-        class _Cell:
-            dims = 1
-            classifier = type("Spec", (), {"label": "fixed"})()
-
-        self.cell = _Cell()
-
-    def predict(self, dataset):
-        return self._labels
-
-    def predict_score(self, dataset):
-        return self._scores
-
-
-def one_row_dataset():
-    return Dataset(np.zeros((1, 1)), [1], ("f0",))
+def fixed_member(scores, proba=True):
+    """A grid record as the votes see it: canned test scores."""
+    return replace(
+        fake_record("fixed", 0.5),
+        test_scores=np.asarray(scores, dtype=float),
+        decision_threshold=0.5 if proba else 0.0,
+        supports_probability=proba,
+    )
 
 
 class TestVoting:
     def test_hard_vote_matches_exhaustive_majority_oracle(self):
-        ds = one_row_dataset()
         for pattern in range(8):
             bits = [(pattern >> i) & 1 for i in range(3)]
-            members = [_FixedMember([b]) for b in bits]
-            ensemble = VotingEnsemble(members, "hard")
+            scores, _ = vote([fixed_member([b]) for b in bits], "hard")
             expected = 1 if sum(bits) >= 2 else 0
-            assert ensemble.predict(ds)[0] == expected, bits
+            assert int(scores[0] >= 0.5) == expected, bits
 
     def test_hard_vote_rejects_even_membership(self):
         with pytest.raises(ValueError, match="odd"):
-            VotingEnsemble([_FixedMember([1]), _FixedMember([0])], "hard")
+            vote([fixed_member([1]), fixed_member([0])], "hard")
 
     def test_soft_vote_mean_threshold(self):
-        ds = one_row_dataset()
-        members = [
-            _FixedMember([1], scores=[0.9]),
-            _FixedMember([0], scores=[0.2]),
-            _FixedMember([0], scores=[0.2]),
-        ]
-        ensemble = VotingEnsemble(members, "soft")
-        assert ensemble.predict_score(ds)[0] == pytest.approx(0.4333333333333333)
-        assert ensemble.predict(ds)[0] == 0
+        members = [fixed_member([0.9]), fixed_member([0.2]), fixed_member([0.2])]
+        scores, _ = vote(members, "soft")
+        assert scores[0] == pytest.approx(0.4333333333333333)
+        assert int(scores[0] >= 0.5) == 0
 
     def test_soft_vote_normalizes_margin_members(self):
-        ds = Dataset(np.zeros((3, 1)), [1, 0, 1], ("f0",))
-        margin_member = _FixedMember([1, 0, 1], scores=[2.0, -1.0, 0.5], proba=False)
-        ensemble = VotingEnsemble([margin_member], "soft")
-        scores = ensemble.predict_score(ds)
+        margin_member = fixed_member([2.0, -1.0, 0.5], proba=False)
+        scores, normalized = vote([margin_member], "soft")
         assert scores.tolist() == [1.0, 0.0, 0.5]
-        assert ensemble.normalized_members_ == ["fixed"]
+        assert normalized == ["fixed"]
+        test = Dataset(np.zeros((3, 1)), [1, 0, 1], ("f0",))
+        record = evaluate_ensemble([margin_member], "soft", test, seed_used=0)
+        assert "soft_vote_margin_minmax" in record.metrics.degenerate_flags
 
     def test_identical_members_match_single_model(self):
-        ds = Dataset(np.zeros((4, 1)), [1, 0, 1, 0], ("f0",))
         member_labels = [1, 0, 0, 1]
-        members = [_FixedMember(member_labels) for _ in range(3)]
-        ensemble = VotingEnsemble(members, "hard")
-        assert ensemble.predict(ds).tolist() == member_labels
+        scores, _ = vote([fixed_member(member_labels) for _ in range(3)], "hard")
+        assert (scores >= 0.5).astype(int).tolist() == member_labels
 
     def test_unknown_mode(self):
         with pytest.raises(ValueError, match="unknown vote mode"):
-            VotingEnsemble([_FixedMember([1])], "fuzzy")
+            vote([fixed_member([1])], "fuzzy")
 
 
 class TestRunSearch:
@@ -401,24 +381,24 @@ def test_build_ensemble_members_use_own_pipelines():
         classifier_specs=(ClassifierSpec("gaussian_nb"), ClassifierSpec("ridge")),
         top_k=3,
     )
-    result = run_search(train, test, cfg)
-    top = result.leaderboard.top(3)
-    members = build_ensemble(top, train, cfg)
+    records = [evaluate_cell(cell, train, test, cfg) for cell in enumerate_grid(cfg)]
+    members = []
+    for record in records:
+        members = build_ensemble(members, record, cfg)
+    top = rank(records, cfg.metric_key).top(3)
     assert [member.cell for member in members] == [record.cell for record in top]
     assert {member.cell.dims for member in members} <= {2, 4}
     record = evaluate_ensemble(members, "hard", test, seed_used=0)
     assert record.ok
 
 
-def record_builds(monkeypatch, fail_after=None):
-    """Log every classifier the search builds; raise after ``fail_after``."""
+def record_builds(monkeypatch):
+    """Log every classifier the search builds."""
     built = []
     real = search_module.make_classifier
 
     def logged(spec, seed=0):
         built.append(spec)
-        if fail_after is not None and len(built) > fail_after:
-            raise RuntimeError("member refit failed")
         return real(spec, seed=seed)
 
     monkeypatch.setattr(search_module, "make_classifier", logged)
@@ -430,20 +410,159 @@ def test_ensemble_members_are_fit_once_for_both_votes(monkeypatch):
     cfg = small_config(top_k=2)
     built = record_builds(monkeypatch)
     result = run_search(train, test, cfg)
-    assert len(built) == cfg.grid_size + cfg.top_k
+    assert len(built) == cfg.grid_size
     hard, soft = result.ensemble_records
     assert hard.error == "ValueError: hard voting requires an odd member count"
     assert soft.ok
 
 
-def test_member_fit_failure_fails_both_votes_with_derived_seeds(monkeypatch):
+# ---------------------------------------------------------------------------
+# votes from the grid's scores against the refit path they replaced
+# ---------------------------------------------------------------------------
+
+def reference_votes(train, test, cfg, top_records):
+    """Vote metrics as computed before the grid kept its scores.
+
+    Each top cell's pipeline is refitted from its seed and scored on the
+    test split again: ``predict`` for the hard vote, ``predict_score`` for
+    the soft one. Returns {mode: MetricRecord}, without hard for an even
+    member count.
+    """
+    pca = None if cfg.pre_encoded else PrincipalComponents().fit(train.features)
+
+    def reduce(cell, dataset):
+        if cfg.pre_encoded:
+            return select_encoded(
+                dataset, cell.dims, prefix=cfg.encoded_prefix, keep=cfg.keep_raw_columns
+            )
+        names = tuple(f"PC{i}" for i in range(1, cell.dims + 1))
+        return dataset.with_features(
+            pca.transform(dataset.features, n_components=cell.dims), names
+        )
+
+    members = []
+    for record in top_records:
+        seed = derive_seed(cfg.master_seed, "cell", record.cell.index)
+        balanced = resample(record.cell.sampler, reduce(record.cell, train), seed=seed)
+        model = make_classifier(record.cell.classifier, seed=seed).fit(
+            balanced.features, balanced.labels
+        )
+        members.append((model, reduce(record.cell, test).features))
+
+    votes = {}
+    if len(members) % 2 == 1:
+        total = np.zeros(test.n_rows)
+        for model, X in members:
+            total += model.predict(X)
+        votes["hard"] = (total / len(members), set())
+    total, flags = np.zeros(test.n_rows), set()
+    for model, X in members:
+        scores = model.predict_score(X)
+        if not model.supports_probability:
+            low, high = scores.min(), scores.max()
+            scores = np.full_like(scores, 0.5) if high == low else (scores - low) / (high - low)
+            flags = {"soft_vote_margin_minmax"}
+        total += scores
+    votes["soft"] = (total / len(members), flags)
+    return {
+        mode: metric_record(
+            test.labels, (scores >= 0.5).astype(np.int64), scores, extra_flags=flags
+        )
+        for mode, (scores, flags) in votes.items()
+    }
+
+
+VOTE_GRIDS = {
+    "encoded": dict(
+        pre_encoded=True,
+        classifier_specs=(
+            ClassifierSpec("ridge"),
+            ClassifierSpec("gaussian_nb"),
+            ClassifierSpec("perceptron"),
+        ),
+    ),
+    "pca": dict(
+        classifier_specs=(
+            ClassifierSpec("ridge"),
+            ClassifierSpec("gaussian_nb"),
+            ClassifierSpec("logistic_regression"),
+        ),
+    ),
+    # every cell ties on every metric, and an even top_k fails the hard vote
+    "tied": dict(classifier_specs=(ClassifierSpec("dummy"),) * 3, top_k=2),
+}
+
+
+@pytest.mark.parametrize("workers", [1, 2])
+@pytest.mark.parametrize("grid", sorted(VOTE_GRIDS))
+def test_votes_equal_refit_reference(grid, workers):
+    # at data seed 6 the top 3 hold a margin member, and no vote scores 1.0
+    train, test = split_fixture(fixture_dataset(seed=6, encoded=grid == "encoded"))
+    cfg = small_config(**VOTE_GRIDS[grid])
+    result = run_search(train, test, cfg, workers=workers)
+    top = rank(result.cell_records, cfg.metric_key).top(cfg.top_k)
+    expected = reference_votes(train, test, cfg, top)
+    for row in result.ensemble_records:
+        mode = row.model_label.removeprefix("vote_")
+        if mode not in expected:
+            assert row.error == "ValueError: hard voting requires an odd member count"
+            continue
+        assert row.ok, row.error
+        assert replace(row.metrics, train_time_seconds=0.0) == expected[mode]
+        assert row.metrics.train_time_seconds == sum(r.metrics.train_time_seconds for r in top)
+        assert row.dims_label == ",".join(str(d) for d in sorted({r.cell.dims for r in top}))
+
+
+# ---------------------------------------------------------------------------
+# only the running top k keeps a score vector
+# ---------------------------------------------------------------------------
+
+@pytest.mark.parametrize("workers", [1, 2])
+def test_only_the_vote_members_keep_scores(monkeypatch, workers):
     train, test = split_fixture(fixture_dataset())
-    cfg = small_config()
-    built = record_builds(monkeypatch, fail_after=cfg.grid_size)
-    result = run_search(train, test, cfg)
-    assert result.failed_cells == 0
-    assert len(built) == cfg.grid_size + 1
-    for record, mode in zip(result.ensemble_records, ("hard", "soft")):
-        assert record.model_label == f"vote_{mode}"
-        assert record.error == "RuntimeError: member refit failed"
-        assert record.seed_used == derive_seed(cfg.master_seed, "ensemble", mode)
+    # twelve cells tie on every metric; each dims and sampler has three equal rank keys
+    cfg = small_config(classifier_specs=(ClassifierSpec("dummy"),) * 3)
+    voted = []
+    real = search_module.evaluate_ensemble
+
+    def spy(members, mode, test, seed_used):
+        voted.append(list(members))
+        return real(members, mode, test, seed_used)
+
+    monkeypatch.setattr(search_module, "evaluate_ensemble", spy)
+    result = run_search(train, test, cfg, workers=workers)
+    assert cfg.grid_size == 12 and len(voted) == 2
+    for record in list(result.cell_records) + list(result.leaderboard.records):
+        assert record.test_scores is None
+    top = result.leaderboard.top(cfg.top_k)
+    assert [r.cell.index for r in top] == [0, 1, 2]
+    for members in voted:
+        assert [m.cell for m in members] == [r.cell for r in top]
+        assert all(len(m.test_scores) == test.n_rows for m in members)
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    rows=st.lists(
+        st.tuples(
+            st.sampled_from([0.2, 0.5, 0.9]),
+            st.integers(1, 3),
+            st.sampled_from(["a", "b"]),
+            st.booleans(),
+        ),
+        min_size=1,
+        max_size=14,
+    ),
+    k=st.integers(1, 5),
+)
+def test_running_top_k_equals_rank_top(rows, k):
+    records = [
+        fake_record(label, f1, dims=dims, index=i, status="ok" if ok else "failed")
+        for i, (f1, dims, label, ok) in enumerate(rows)
+    ]
+    cfg = small_config(top_k=k)
+    top = []
+    for record in records:
+        top = build_ensemble(top, record, cfg)
+    ranked = [r for r in rank(records, "f1").records if r.ok][:k]
+    assert [id(r) for r in top] == [id(r) for r in ranked]
