@@ -7,6 +7,7 @@ Exit codes for ``run``: 0 success, 2 config error, 3 dataset error,
 import argparse
 import hashlib
 import sys
+import time
 from pathlib import Path
 
 from .config import ConfigError, load_config, validate_config
@@ -73,6 +74,13 @@ def _file_sha256(path):
     return digest.hexdigest()
 
 
+def _lap(laps, name, started):
+    """Record the wall seconds since ``started`` under ``name``; return now."""
+    now = time.perf_counter()
+    laps[name] = now - started
+    return now
+
+
 def cmd_run(args):
     try:
         config, warnings = load_config(args.config, _overrides(args))
@@ -82,6 +90,8 @@ def cmd_run(args):
     for text in warnings:
         print(f"warning: {text}", file=sys.stderr)
 
+    setup_seconds = {}
+    started = time.perf_counter()
     try:
         dataset = load_csv(
             config.dataset_path,
@@ -91,7 +101,9 @@ def cmd_run(args):
     except DatasetError as exc:
         print(f"dataset error: {exc}", file=sys.stderr)
         return 3
+    started = _lap(setup_seconds, "load_csv", started)
     sha256 = _file_sha256(config.dataset_path)
+    started = _lap(setup_seconds, "checksum", started)
     if config.expected_sha256 and sha256 != config.expected_sha256:
         print(
             f"dataset error: checksum mismatch: expected {config.expected_sha256}, "
@@ -104,6 +116,7 @@ def cmd_run(args):
     split = stratified_split(dataset.labels, grid.test_fraction, seed=grid.master_seed)
     train = dataset.subset(split.train_idx)
     test = dataset.subset(split.test_idx)
+    started = _lap(setup_seconds, "split", started)
     columns = (
         list(dataset.feature_names)
         if config.standardize_all
@@ -113,6 +126,7 @@ def cmd_run(args):
         scaler = ColumnStandardizer(columns=columns).fit(train)
         train = scaler.transform(train)
         test = scaler.transform(test)
+    _lap(setup_seconds, "standardize", started)
 
     result = run_search(train, test, grid, workers=config.workers)
 
@@ -129,6 +143,7 @@ def cmd_run(args):
         result,
         dataset_sha256=sha256,
         dataset_path=config.dataset_path,
+        setup_seconds=setup_seconds,
     )
 
     best = next((r for r in result.leaderboard.records if r.ok), None)

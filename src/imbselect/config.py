@@ -16,6 +16,7 @@ import dataclasses
 import os
 
 from .classifiers import CLASSIFIER_REGISTRY, ClassifierSpec
+from .dataset import DatasetError, parse_header
 from .decomposition import encoded_column_names
 from .metrics import METRIC_KEYS
 from .sampling import SAMPLER_KINDS, SamplerSpec
@@ -273,7 +274,7 @@ def _dataset_diagnostics(path, label_column, pre_encoded, prefix, dims_list,
     the width dims are clamped to, or 0 when the header cannot tell."""
     errors = []
     warnings = []
-    if not path:
+    if not path or not label_column:
         return errors, warnings, 0
     if not os.path.exists(path):
         errors.append(f"dataset file not found: {path}")
@@ -287,11 +288,11 @@ def _dataset_diagnostics(path, label_column, pre_encoded, prefix, dims_list,
     if not header:
         errors.append(f"dataset file has no header row: {path}")
         return errors, warnings, 0
-    header = [h.strip() for h in header]
-    if label_column and label_column not in header:
-        errors.append(f"label column {label_column!r} not in dataset header")
+    try:
+        _, features = parse_header(header, label_column)
+    except DatasetError as exc:
+        errors.append(str(exc))
         return errors, warnings, 0
-    features = [h for h in header if h != label_column]
     for name in list(standardize_columns) + list(keep_raw_columns):
         if name not in features:
             errors.append(f"column {name!r} not in dataset header")

@@ -6,7 +6,9 @@ always the positive/minority class.
 """
 
 import csv
+import math
 import warnings
+from array import array
 from dataclasses import dataclass
 
 import numpy as np
@@ -98,11 +100,51 @@ def _cell_is_positive(cell, positive_label):
     return text == str(positive_label)
 
 
+def parse_header(header, label_column):
+    """The label's index and the feature names, stripped of whitespace.
+
+    Raises DatasetError when the label column is absent or a name repeats:
+    a repeated name would make every lookup by name see its first copy only.
+    """
+    names = [h.strip() for h in header]
+    if label_column not in names:
+        raise DatasetError(
+            f"missing label column {label_column!r}; header has {names}"
+        )
+    seen = set()
+    for name in names:
+        if name in seen:
+            raise DatasetError(f"column {name!r} appears more than once in the header")
+        seen.add(name)
+    label_idx = names.index(label_column)
+    return label_idx, tuple(names[:label_idx] + names[label_idx + 1 :])
+
+
+def _parse_cells(cells, row_no, feature_names):
+    """Each cell as a finite float, or the DatasetError for the first bad one."""
+    values = []
+    for name, cell in zip(feature_names, cells):
+        try:
+            value = float(cell)
+        except ValueError:
+            raise DatasetError(
+                f"non-numeric cell at row {row_no}, column {name!r}: {cell!r}"
+            ) from None
+        if not math.isfinite(value):
+            raise DatasetError(
+                f"non-finite cell at row {row_no}, column {name!r}: {cell!r}"
+            )
+        values.append(value)
+    return values
+
+
 def load_csv(path, label_column, positive_label=1, source_tag=None):
     """Read a headered CSV into a Dataset.
 
-    Every non-label column must parse as a finite number. Rows whose label
-    cell equals ``positive_label`` map to 1, everything else to 0.
+    Every non-label cell must parse with Python's ``float`` to a finite
+    number; the first bad cell in file order is the one reported. Header
+    names must be unique. Rows whose label cell equals ``positive_label``
+    map to 1, everything else to 0.
     """
     try:
         handle = open(path, newline="", encoding="utf-8")
@@ -114,16 +156,13 @@ def load_csv(path, label_column, positive_label=1, source_tag=None):
             header = next(reader)
         except StopIteration:
             raise DatasetError(f"empty dataset: {path} has no header row") from None
-        header = [h.strip() for h in header]
-        if label_column not in header:
-            raise DatasetError(
-                f"missing label column {label_column!r}; header has {header}"
-            )
-        label_idx = header.index(label_column)
-        feature_names = tuple(h for i, h in enumerate(header) if i != label_idx)
+        label_idx, feature_names = parse_header(header, label_column)
 
-        rows = []
-        labels = []
+        # one flat buffer, filled a row at a time; a row that fails the
+        # cheap whole-row check is parsed again cell by cell, which raises
+        # the exact error or accepts a finite row whose sum overflowed
+        features = array("d")
+        labels = array("q")
         for row_no, row in enumerate(reader, start=2):
             if not row:
                 continue
@@ -131,28 +170,21 @@ def load_csv(path, label_column, positive_label=1, source_tag=None):
                 raise DatasetError(
                     f"row {row_no}: expected {len(header)} cells, got {len(row)}"
                 )
-            values = []
-            for i, cell in enumerate(row):
-                if i == label_idx:
-                    continue
-                try:
-                    value = float(cell)
-                except ValueError:
-                    raise DatasetError(
-                        f"non-numeric cell at row {row_no}, column {header[i]!r}: {cell!r}"
-                    ) from None
-                if not np.isfinite(value):
-                    raise DatasetError(
-                        f"non-finite cell at row {row_no}, column {header[i]!r}: {cell!r}"
-                    )
-                values.append(value)
-            rows.append(values)
-            labels.append(1 if _cell_is_positive(row[label_idx], positive_label) else 0)
+            label_cell = row.pop(label_idx)
+            try:
+                values = list(map(float, row))
+                finite = math.isfinite(sum(values))
+            except ValueError:
+                finite = False
+            if not finite:
+                values = _parse_cells(row, row_no, feature_names)
+            features.fromlist(values)
+            labels.append(_cell_is_positive(label_cell, positive_label))
 
-    if not rows:
+    if not labels:
         raise DatasetError(f"empty dataset: {path} has a header but no rows")
 
-    labels = np.asarray(labels, dtype=np.int64)
+    labels = np.frombuffer(labels, dtype=np.int64)
     n_pos = int(labels.sum())
     if n_pos > labels.shape[0] - n_pos:
         warnings.warn(
@@ -161,7 +193,9 @@ def load_csv(path, label_column, positive_label=1, source_tag=None):
             stacklevel=2,
         )
     return Dataset(
-        features=np.asarray(rows, dtype=np.float64),
+        features=np.frombuffer(features, dtype=np.float64).reshape(
+            labels.shape[0], len(feature_names)
+        ),
         labels=labels,
         feature_names=feature_names,
         source_tag=source_tag if source_tag is not None else str(path),

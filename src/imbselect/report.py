@@ -151,7 +151,7 @@ def _safe(label):
     return "".join(ch if ch.isalnum() else "_" for ch in label)
 
 
-def write_manifest(path, result, dataset_sha256, dataset_path):
+def write_manifest(path, result, dataset_sha256, dataset_path, setup_seconds):
     payload = {
         "master_seed": result.grid.master_seed,
         "package_version": __version__,
@@ -164,6 +164,7 @@ def write_manifest(path, result, dataset_sha256, dataset_path):
         "grid_size": result.grid.grid_size,
         "failed_cells": result.failed_cells,
         "wall_seconds": result.wall_seconds,
+        "setup_seconds": setup_seconds,
         "clamp_warnings": list(result.clamp_warnings),
         "ensemble_comparison": result.ensemble_comparison,
     }

@@ -160,6 +160,9 @@ class TestRun:
         manifest = json.loads((out / "run_manifest.json").read_text())
         assert manifest["grid_size"] == 12
         assert manifest["failed_cells"] == 0
+        setup = manifest["setup_seconds"]
+        assert list(setup) == ["load_csv", "checksum", "split", "standardize"]
+        assert all(seconds >= 0.0 for seconds in setup.values())
         payload = json.loads((out / "leaderboard.json").read_text())
         assert len(payload["records"]) == 14
         figures = sorted(p.name for p in (out / "figures").glob("*.csv"))
@@ -269,4 +272,20 @@ def test_duplicate_grid_entry_is_config_error(tmp_path, fixture_csv, capsys, gri
     )
     assert main(["run", "--config", str(config)]) == 2
     assert "more than once" in capsys.readouterr().err
+    assert not (tmp_path / "out").exists()
+
+
+@pytest.mark.parametrize("repeat", ["V1", "Class"])
+def test_repeated_header_name_is_config_error(tmp_path, fixture_csv, capsys, repeat):
+    lines = fixture_csv.read_text(encoding="utf-8").splitlines()
+    # the copy of the first data column takes the repeated name
+    lines[0] += f",{repeat}"
+    lines[1:] = [line + "," + line.split(",")[0] for line in lines[1:]]
+    fixture_csv.write_text("\n".join(lines) + "\n", encoding="utf-8")
+    config = write_config(tmp_path, fixture_csv)
+    message = f"column '{repeat}' appears more than once in the header"
+    assert main(["validate", "--config", str(config)]) == 2
+    assert f"error: {message}" in capsys.readouterr().out
+    assert main(["run", "--config", str(config)]) == 2
+    assert message in capsys.readouterr().err
     assert not (tmp_path / "out").exists()

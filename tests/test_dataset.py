@@ -1,18 +1,23 @@
+import csv
 import math
+import tracemalloc
+import warnings
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 from imbselect.dataset import (
     ColumnStandardizer,
     Dataset,
     DatasetError,
+    _cell_is_positive,
     load_csv,
     stratified_folds,
     stratified_split,
 )
+from imbselect.fixtures import make_fixture
 
 
 def write_csv(path, text):
@@ -89,6 +94,175 @@ class TestLoadCsv:
         path = write_csv(tmp_path / "maj.csv", "x,Class\n1,1\n2,1\n3,0\n")
         with pytest.warns(UserWarning, match="minority"):
             load_csv(path, label_column="Class")
+
+
+    @pytest.mark.parametrize(
+        "header, repeated",
+        [("V1,V2,V1,Class", "V1"), ("V1,Class,V2,Class", "Class")],
+    )
+    def test_repeated_header_name_is_rejected(self, tmp_path, header, repeated):
+        # a repeated feature name would make select_encoded and
+        # ColumnStandardizer see its first copy only; a repeated label
+        # would turn its second copy into a feature
+        path = write_csv(tmp_path / "dup.csv", f"{header}\n1,2,3,0\n4,5,6,1\n7,8,9,0\n")
+        with pytest.raises(DatasetError, match=f"column '{repeated}' appears more than once"):
+            load_csv(path, label_column="Class")
+
+    def test_ingest_peak_memory_is_bounded(self, tmp_path):
+        path = make_fixture(
+            "gaussian-imbalanced", 20_000, 0.02, seed=4, out_path=tmp_path / "big.csv",
+            n_features=28,
+        )
+        tracemalloc.start()
+        try:
+            ds = load_csv(path, label_column="Class")
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert ds.features.shape == (20_000, 30)
+        assert peak <= 3 * ds.features.nbytes
+
+
+def reference_load_csv(path, label_column, positive_label=1):
+    """The per-cell loader: a list of Python floats per row, every cell
+    checked as it is parsed, then one array built from the row lists."""
+    try:
+        handle = open(path, newline="", encoding="utf-8")
+    except FileNotFoundError:
+        raise DatasetError(f"dataset file not found: {path}") from None
+    with handle:
+        reader = csv.reader(handle)
+        try:
+            header = next(reader)
+        except StopIteration:
+            raise DatasetError(f"empty dataset: {path} has no header row") from None
+        header = [h.strip() for h in header]
+        if label_column not in header:
+            raise DatasetError(
+                f"missing label column {label_column!r}; header has {header}"
+            )
+        label_idx = header.index(label_column)
+        feature_names = tuple(h for i, h in enumerate(header) if i != label_idx)
+        rows = []
+        labels = []
+        for row_no, row in enumerate(reader, start=2):
+            if not row:
+                continue
+            if len(row) != len(header):
+                raise DatasetError(
+                    f"row {row_no}: expected {len(header)} cells, got {len(row)}"
+                )
+            values = []
+            for i, cell in enumerate(row):
+                if i == label_idx:
+                    continue
+                try:
+                    value = float(cell)
+                except ValueError:
+                    raise DatasetError(
+                        f"non-numeric cell at row {row_no}, column {header[i]!r}: {cell!r}"
+                    ) from None
+                if not np.isfinite(value):
+                    raise DatasetError(
+                        f"non-finite cell at row {row_no}, column {header[i]!r}: {cell!r}"
+                    )
+                values.append(value)
+            rows.append(values)
+            labels.append(1 if _cell_is_positive(row[label_idx], positive_label) else 0)
+    if not rows:
+        raise DatasetError(f"empty dataset: {path} has a header but no rows")
+    labels = np.asarray(labels, dtype=np.int64)
+    n_pos = int(labels.sum())
+    if n_pos > labels.shape[0] - n_pos:
+        warnings.warn(
+            f"positive class ({n_pos}) outnumbers negative ({labels.shape[0] - n_pos}); "
+            "label 1 is expected to be the minority",
+            stacklevel=2,
+        )
+    return Dataset(
+        features=np.asarray(rows, dtype=np.float64),
+        labels=labels,
+        feature_names=feature_names,
+    )
+
+
+GOOD_CELLS = [
+    "0", "-0.0", "1.5", "1_000", "+1", ".5", "1e-320", "3E2", "-7.25",
+    " 2 ", "1e308", "-1e308", "0.1", "123456789.123456789",
+]
+BAD_CELLS = ["nan", "-Infinity", "1e999", "abc", "", "short"]
+
+
+@st.composite
+def csv_texts(draw):
+    """A headered CSV and its label column: the label at any position,
+    quoted and padded cells, blank lines, rows of 1e308 whose sum
+    overflows, and up to two bad cells (or short rows) anywhere."""
+    n_features = draw(st.integers(1, 5))
+    names = [f"f{j}" for j in range(n_features)]
+    names.insert(draw(st.integers(0, n_features)), "Class")
+    width = len(names)
+    n_rows = draw(st.integers(0, 8))
+    rows = []
+    for _ in range(n_rows):
+        if draw(st.booleans()) and n_features > 1:
+            cells = ["1e308"] * width
+        else:
+            cells = [draw(st.sampled_from(GOOD_CELLS)) for _ in range(width)]
+        cells[names.index("Class")] = draw(st.sampled_from(["0", "1", " 1 ", "1.0", "x"]))
+        rows.append(cells)
+    n_bad = draw(st.integers(0, 2)) if rows else 0
+    for _ in range(n_bad):
+        i = draw(st.integers(0, len(rows) - 1))
+        j = draw(st.integers(0, len(rows[i]) - 1))
+        bad = draw(st.sampled_from(BAD_CELLS))
+        if bad == "short":
+            del rows[i][j]
+        else:
+            rows[i][j] = bad
+
+    def render(cells):
+        out = []
+        for cell in cells:
+            if draw(st.integers(0, 3)) == 0:
+                cell = f'"{cell}"'
+            out.append(cell)
+        return ",".join(out)
+
+    header = [f" {n} " if draw(st.booleans()) else n for n in names]
+    lines = [render(header)]
+    for cells in rows:
+        if draw(st.integers(0, 4)) == 0:
+            lines.append("")
+        lines.append(render(cells))
+    return "\n".join(lines) + "\n"
+
+
+def _load_outcome(loader, path):
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        try:
+            ds = loader(path, label_column="Class", positive_label=1)
+        except DatasetError as exc:
+            return ("error", str(exc))
+    return (
+        ds.features.shape,
+        ds.features.tobytes(),
+        ds.labels.tolist(),
+        ds.feature_names,
+        [str(w.message) for w in caught],
+    )
+
+
+@settings(
+    max_examples=300, deadline=None,
+    suppress_health_check=[HealthCheck.function_scoped_fixture],
+)
+@given(text=csv_texts())
+def test_load_csv_matches_per_cell_reference(tmp_path, text):
+    path = tmp_path / "oracle.csv"
+    path.write_text(text, encoding="utf-8")
+    assert _load_outcome(load_csv, path) == _load_outcome(reference_load_csv, path)
 
 
 def toy(features, labels, names=None):
