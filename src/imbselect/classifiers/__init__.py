@@ -60,6 +60,10 @@ class ClassifierSpec:
                 f"unknown classifier kind {self.kind!r}; "
                 f"known kinds: {sorted(CLASSIFIER_REGISTRY)}"
             )
+        known = CLASSIFIER_REGISTRY[self.kind]._param_names()
+        unknown = sorted(set(self.params) - set(known))
+        if unknown:
+            raise ValueError(f"unknown option(s) {unknown}; known: {known}")
 
     @property
     def label(self):

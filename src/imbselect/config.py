@@ -175,7 +175,8 @@ def _read(path, overrides):
             errors.append(f"sampler {kind!r}: {exc}")
 
     classifier_specs = []
-    for raw in _parse_list(grid_section.get("classifiers", "")):
+    classifier_names = _parse_list(grid_section.get("classifiers", ""))
+    for raw in classifier_names:
         if raw not in CLASSIFIER_REGISTRY:
             errors.append(
                 f"unknown classifier {raw!r}; known: {sorted(CLASSIFIER_REGISTRY)}"
@@ -187,7 +188,7 @@ def _read(path, overrides):
             )
         except (ValueError, TypeError) as exc:
             errors.append(f"classifier {raw!r}: {exc}")
-    if not classifier_specs:
+    if not classifier_names:
         errors.append("grid.classifiers must name at least one classifier")
     # repeated entries would give leaderboard rows that cannot be told apart
     for option, labels in (

@@ -29,24 +29,28 @@ def _counts(n, imbalance_ratio):
 
 def make_fixture(kind, n, imbalance_ratio, seed, out_path, n_features=8,
                  separation=2.5):
-    """Write a fixture CSV; same arguments produce identical bytes."""
+    """Write a fixture CSV; same arguments produce identical bytes. Rows are
+    written one at a time, so no formatted copy of the data is held."""
     if kind not in FIXTURE_KINDS:
         raise ValueError(f"unknown fixture kind {kind!r}; known: {FIXTURE_KINDS}")
     n_neg, n_pos = _counts(n, imbalance_ratio)
     rng = derive_rng(seed, "fixture", kind)
 
     if kind == "gaussian-imbalanced":
-        header, rows = _gaussian_imbalanced(rng, n_neg, n_pos, n_features, separation)
+        generate = _gaussian_imbalanced
     else:
-        header, rows = _segment_minority(rng, n_neg, n_pos, n_features, separation)
+        generate = _segment_minority
+    header, row_values = generate(rng, n_neg, n_pos, n_features, separation)
 
-    order = rng.permutation(len(rows))
+    order = rng.permutation(n_neg + n_pos)
     Path(out_path).parent.mkdir(parents=True, exist_ok=True)
     with open(out_path, "w", newline="", encoding="utf-8") as handle:
         writer = csv.writer(handle, lineterminator="\n")
         writer.writerow(header)
+        # negatives come first, so row i is positive when i >= n_neg; csv
+        # writes a float as its repr
         for i in order:
-            writer.writerow(rows[i])
+            writer.writerow(row_values(i) + [int(i >= n_neg)])
     return out_path
 
 
@@ -57,16 +61,10 @@ def _gaussian_imbalanced(rng, n_neg, n_pos, p, separation):
     time_col = np.sort(rng.uniform(0.0, 172_800.0, n_neg + n_pos))
     amount_col = np.round(np.exp(rng.normal(3.0, 1.2, n_neg + n_pos)), 2)
     header = ["Time"] + [f"V{j}" for j in range(1, p + 1)] + ["Amount", "Class"]
-    rows = []
     features = np.vstack([negatives, positives])
-    labels = [0] * n_neg + [1] * n_pos
-    for i in range(n_neg + n_pos):
-        rows.append(
-            [repr(float(time_col[i]))]
-            + [repr(float(v)) for v in features[i]]
-            + [repr(float(amount_col[i])), labels[i]]
-        )
-    return header, rows
+    return header, lambda i: (
+        [float(time_col[i])] + features[i].tolist() + [float(amount_col[i])]
+    )
 
 
 def _segment_minority(rng, n_neg, n_pos, p, separation):
@@ -77,9 +75,5 @@ def _segment_minority(rng, n_neg, n_pos, p, separation):
     positives = a + t[:, None] * (b - a)
     negatives = rng.normal(0.0, 1.0, (n_neg, p))
     header = [f"V{j}" for j in range(1, p + 1)] + ["Class"]
-    rows = []
     features = np.vstack([negatives, positives])
-    labels = [0] * n_neg + [1] * n_pos
-    for i in range(n_neg + n_pos):
-        rows.append([repr(float(v)) for v in features[i]] + [labels[i]])
-    return header, rows
+    return header, lambda i: features[i].tolist()

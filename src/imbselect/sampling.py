@@ -16,6 +16,7 @@ import numpy as np
 
 from .base import BaseEstimator, build_estimator, derive_rng, derive_seed
 from .classifiers.forest import RandomForestClassifier
+from .classifiers.neighbors import positive_counts, squared_distances
 from .dataset import Dataset, round_half_away, stratified_folds
 from .validation import check_X_y, require_both_classes
 
@@ -242,16 +243,10 @@ class Adasyn(BaseEstimator):
             raise ValueError(
                 f"k_neighbors={k} must be below the training-set size {X.shape[0]}"
             )
-        sq = (X * X).sum(axis=1)
-        minority = X[pos_idx]
-        d2 = (
-            (minority * minority).sum(axis=1)[:, None]
-            - 2.0 * (minority @ X.T)
-            + sq[None, :]
-        )
+        # one positives × train product: re-chunking its rows changes the bits
+        d2 = squared_distances(X[pos_idx], X, (X * X).sum(axis=1))
         d2[np.arange(len(pos_idx)), pos_idx] = np.inf  # self
-        order = np.argsort(d2, axis=1, kind="stable")[:, :k]
-        return (y[order] == 0).mean(axis=1)
+        return (k - positive_counts(d2, y == 1, k)) / k
 
     def fit_resample(self, X, y):
         X, y = check_X_y(X, y)

@@ -349,6 +349,11 @@ def test_spec_rejects_unknown_kind():
         ClassifierSpec("svm_rbf")
 
 
+def test_spec_rejects_unknown_option():
+    with pytest.raises(ValueError, match=r"unknown option\(s\) \['n_tree'\]"):
+        ClassifierSpec("random_forest", {"n_tree": 10})
+
+
 def test_spec_label_includes_params():
     assert ClassifierSpec("knn").label == "knn"
     assert ClassifierSpec("knn", {"k": 3}).label == "knn(k=3)"

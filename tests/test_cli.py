@@ -1,5 +1,7 @@
 import csv
+import hashlib
 import json
+import tracemalloc
 from pathlib import Path
 
 import pytest
@@ -66,6 +68,36 @@ class TestMakeFixture:
         make_fixture("segment-minority", 100, 0.2, seed=7, out_path=a)
         make_fixture("segment-minority", 100, 0.2, seed=7, out_path=b)
         assert a.read_bytes() == b.read_bytes()
+
+    @pytest.mark.parametrize(
+        "kind, n, ratio, seed, options, digest",
+        [
+            ("gaussian-imbalanced", 40, 0.1, 3, {"n_features": 5},
+             "0d18298e299cd5805a675b1b30aa8a96a38c90182eb779159efa15fa5e22e116"),
+            ("gaussian-imbalanced", 57, 0.05, 11, {"n_features": 28, "separation": 1.5},
+             "2cbeb86739a3881b7e7acc95ac9fb1c285ef3bb31d7cb5b42d0e258107c89633"),
+            ("segment-minority", 30, 0.2, 5, {"n_features": 3},
+             "a4065eb4458782863db044f7ffafbd93c7ff3f7362ba00e4e98e38c9e60d9bad"),
+            ("segment-minority", 64, 0.5, 0, {"n_features": 8, "separation": 4.0},
+             "9ea3fa210b9f934045ac1a01ebf867e83316cf4d483285a9d39d6da13ee7a159"),
+        ],
+    )
+    def test_pinned_bytes(self, tmp_path, kind, n, ratio, seed, options, digest):
+        path = make_fixture(kind, n, ratio, seed, tmp_path / "f.csv", **options)
+        assert hashlib.sha256(path.read_bytes()).hexdigest() == digest
+
+    def test_peak_memory_is_bounded(self, tmp_path):
+        n, features = 20_000, 28
+        tracemalloc.start()
+        try:
+            make_fixture(
+                "gaussian-imbalanced", n, 0.02, seed=2, out_path=tmp_path / "big.csv",
+                n_features=features,
+            )
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak <= 3 * n * features * 8
 
     def test_balanced_ratio(self, tmp_path):
         path = tmp_path / "f.csv"
@@ -284,6 +316,23 @@ def test_repeated_header_name_is_config_error(tmp_path, fixture_csv, capsys, rep
     fixture_csv.write_text("\n".join(lines) + "\n", encoding="utf-8")
     config = write_config(tmp_path, fixture_csv)
     message = f"column '{repeat}' appears more than once in the header"
+    assert main(["validate", "--config", str(config)]) == 2
+    assert f"error: {message}" in capsys.readouterr().out
+    assert main(["run", "--config", str(config)]) == 2
+    assert message in capsys.readouterr().err
+    assert not (tmp_path / "out").exists()
+
+
+@pytest.mark.parametrize(
+    "kind, option", [("random_forest", "n_tree"), ("knn", "chunk_rows")]
+)
+def test_unknown_classifier_option_is_config_error(
+    tmp_path, fixture_csv, capsys, kind, option
+):
+    config = write_config(tmp_path, fixture_csv, classifiers=f"dummy, {kind}")
+    with open(config, "a", encoding="utf-8") as handle:
+        handle.write(f"\n[classifier.{kind}]\n{option} = 1\n")
+    message = f"classifier '{kind}': unknown option(s) ['{option}']"
     assert main(["validate", "--config", str(config)]) == 2
     assert f"error: {message}" in capsys.readouterr().out
     assert main(["run", "--config", str(config)]) == 2
