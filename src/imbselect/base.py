@@ -1,9 +1,10 @@
 """Minimal estimator base class and seeded RNG derivation.
 
 Estimators follow the scikit-learn convention: constructor arguments are
-hyperparameters stored verbatim, learned state lives in trailing-underscore
-attributes set by ``fit``, and ``get_params``/``set_params`` expose the
-hyperparameters for composition with the wider ecosystem.
+hyperparameters stored verbatim and learned state lives in trailing-underscore
+attributes set by ``fit``. The constructor's argument names are the one piece
+of introspection the package uses: config checks read them to reject unknown
+options, and ``build_estimator`` to decide whether an estimator takes a seed.
 """
 
 import hashlib
@@ -13,7 +14,7 @@ import numpy as np
 
 
 class BaseEstimator:
-    """Parameter introspection shared by every estimator in the package."""
+    """Constructor-argument introspection shared by every estimator."""
 
     @classmethod
     def _param_names(cls):
@@ -27,24 +28,6 @@ class BaseEstimator:
             if p.name != "self" and p.kind not in (p.VAR_POSITIONAL, p.VAR_KEYWORD)
         ]
         return sorted(names)
-
-    def get_params(self, deep=True):
-        return {name: getattr(self, name) for name in self._param_names()}
-
-    def set_params(self, **params):
-        valid = set(self._param_names())
-        for key, value in params.items():
-            if key not in valid:
-                raise ValueError(
-                    f"invalid parameter {key!r} for {type(self).__name__}; "
-                    f"valid parameters are {sorted(valid)}"
-                )
-            setattr(self, key, value)
-        return self
-
-    def __repr__(self):
-        params = ", ".join(f"{k}={v!r}" for k, v in self.get_params().items())
-        return f"{type(self).__name__}({params})"
 
 
 def _key_to_ints(key):

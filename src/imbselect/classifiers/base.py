@@ -50,14 +50,6 @@ class BinaryClassifier(BaseEstimator):
         scores = self.predict_score(X)
         return (scores >= self.decision_threshold).astype(np.int64)
 
-    def predict_proba(self, X):
-        if not self.supports_probability:
-            raise RuntimeError(
-                f"{type(self).__name__} produces margins, not probabilities"
-            )
-        pos = self.predict_score(X)
-        return np.column_stack([1.0 - pos, pos])
-
     def _fit(self, X, y):
         raise NotImplementedError
 

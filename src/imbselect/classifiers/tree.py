@@ -230,7 +230,3 @@ class DecisionTreeClassifier(BinaryClassifier):
 
     def _score(self, X):
         return self.prob_[self._leaf_ids(X)]
-
-    @property
-    def node_count(self):
-        return self.feature_.shape[0]

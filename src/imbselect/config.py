@@ -3,7 +3,9 @@
 Sections: ``[dataset]`` (path, label column, encoding flags), ``[grid]``
 (dims, samplers, classifiers, metric, seeds), ``[output]`` (directory,
 formats, workers), plus optional ``[sampler.<kind>]`` and
-``[classifier.<kind>]`` override sections.
+``[classifier.<kind>]`` override sections. Any other section, and any key
+those three sections do not read, is an error: a misspelt name would
+otherwise fall back to its default without a word.
 
 Diagnostics come in two severities: errors block a run, warnings do not
 (dims beyond the dataset width are clamped at run time, an even top_k
@@ -24,6 +26,13 @@ from .search import GridConfig, clamp_dims
 
 SAMPLER_ALIASES = {"iht": "instance_hardness_threshold"}
 SAMPLER_OPTIONS = {f.name for f in dataclasses.fields(SamplerSpec)} - {"kind"}
+SECTION_KEYS = {
+    "dataset": ("path", "label_column", "positive_label", "pre_encoded", "encoded_prefix",
+                "standardize_columns", "standardize_all", "keep_raw_columns", "sha256"),
+    "grid": ("dims", "samplers", "classifiers", "metric", "top_k", "test_fraction",
+             "cv_folds", "master_seed"),
+    "output": ("dir", "formats", "workers"),
+}
 
 
 class ConfigError(ValueError):
@@ -82,6 +91,31 @@ def _section_params(parser, name):
     return {key: _parse_value(value) for key, value in parser.items(name)}
 
 
+def _layout_errors(parser):
+    """Every unknown section and every unknown key of a fixed section, named."""
+    errors = []
+    for section in parser.sections():
+        family, _, kind = section.partition(".")
+        if section in SECTION_KEYS:
+            known = SECTION_KEYS[section]
+            for key in parser[section]:
+                if key not in known:
+                    errors.append(f"unknown key {key!r} in [{section}]; known: {known}")
+        elif family == "sampler" and kind in SAMPLER_ALIASES:
+            errors.append(
+                f"section [{section}] must be spelt [sampler.{SAMPLER_ALIASES[kind]}]"
+            )
+        elif not (
+            (family == "sampler" and kind in SAMPLER_KINDS)
+            or (family == "classifier" and kind in CLASSIFIER_REGISTRY)
+        ):
+            errors.append(
+                f"unknown section [{section}]; expected [dataset], [grid], [output], "
+                "[sampler.<kind>] or [classifier.<kind>] with a known kind"
+            )
+    return errors
+
+
 def _build_sampler_spec(kind, overrides, cv_folds):
     fields = {"iht_folds": cv_folds} if kind == "instance_hardness_threshold" else {}
     fields.update(overrides)
@@ -123,6 +157,7 @@ def _read(path, overrides):
             errors.append(f"missing [{section}] section")
     if errors:
         return errors, warnings, None
+    errors.extend(_layout_errors(parser))
 
     ds = parser["dataset"]
     grid_section = parser["grid"]

@@ -1,8 +1,11 @@
 """Dataset container, CSV ingestion and leakage-safe splitting.
 
-A Dataset is immutable after construction: the arrays are marked read-only
-so concurrent grid evaluations can share one snapshot safely. Label 1 is
-always the positive/minority class.
+A Dataset is immutable: its arrays are read-only and C-ordered, so
+concurrent grid evaluations can share one snapshot safely. A writeable
+(or non-C-ordered) input is copied, so a caller's later writes never reach
+the Dataset; a read-only input is taken as frozen and shared. The package's
+producers freeze the fresh array they have just made, so it is made once.
+Label 1 is always the positive/minority class.
 """
 
 import csv
@@ -21,12 +24,17 @@ class DatasetError(ValueError):
     """Raised for any ingestion problem; the message names the location."""
 
 
+def freeze(array):
+    """Mark ``array`` read-only in place and return it; for fresh arrays only."""
+    array.flags.writeable = False
+    return array
+
+
 @dataclass(frozen=True)
 class Dataset:
     features: np.ndarray
     labels: np.ndarray
     feature_names: tuple
-    source_tag: str = ""
 
     def __post_init__(self):
         features = check_array(self.features, "features")
@@ -40,12 +48,10 @@ class Dataset:
             raise DatasetError(
                 f"{len(names)} feature names for {features.shape[1]} columns"
             )
-        features = features.copy()
-        labels = labels.copy()
-        features.flags.writeable = False
-        labels.flags.writeable = False
-        object.__setattr__(self, "features", features)
-        object.__setattr__(self, "labels", labels)
+        for field, array in (("features", features), ("labels", labels)):
+            if array.flags.writeable or not array.flags.c_contiguous:
+                array = np.array(array, order="C")  # a copy the Dataset owns
+            object.__setattr__(self, field, freeze(array))
         object.__setattr__(self, "feature_names", names)
 
     @property
@@ -56,31 +62,15 @@ class Dataset:
     def n_features(self):
         return self.features.shape[1]
 
-    @property
-    def n_positive(self):
-        return int(self.labels.sum())
-
-    @property
-    def n_negative(self):
-        return self.n_rows - self.n_positive
-
-    def subset(self, indices, tag=None):
+    def subset(self, indices):
         idx = np.asarray(indices, dtype=np.int64)
         return Dataset(
-            features=self.features[idx],
-            labels=self.labels[idx],
-            feature_names=self.feature_names,
-            source_tag=self.source_tag if tag is None else tag,
+            freeze(self.features[idx]), freeze(self.labels[idx]), self.feature_names
         )
 
-    def with_features(self, features, feature_names, tag=None):
-        """Same rows, new feature view (post-transform)."""
-        return Dataset(
-            features=features,
-            labels=self.labels,
-            feature_names=tuple(feature_names),
-            source_tag=self.source_tag if tag is None else tag,
-        )
+    def with_features(self, features, feature_names):
+        """Same rows (the labels are shared), new feature view (post-transform)."""
+        return Dataset(features, self.labels, tuple(feature_names))
 
     def column(self, name):
         try:
@@ -138,7 +128,7 @@ def _parse_cells(cells, row_no, feature_names):
     return values
 
 
-def load_csv(path, label_column, positive_label=1, source_tag=None):
+def load_csv(path, label_column, positive_label=1):
     """Read a headered CSV into a Dataset.
 
     Every non-label cell must parse with Python's ``float`` to a finite
@@ -184,7 +174,7 @@ def load_csv(path, label_column, positive_label=1, source_tag=None):
     if not labels:
         raise DatasetError(f"empty dataset: {path} has a header but no rows")
 
-    labels = np.frombuffer(labels, dtype=np.int64)
+    labels = freeze(np.frombuffer(labels, dtype=np.int64))
     n_pos = int(labels.sum())
     if n_pos > labels.shape[0] - n_pos:
         warnings.warn(
@@ -192,13 +182,11 @@ def load_csv(path, label_column, positive_label=1, source_tag=None):
             "label 1 is expected to be the minority",
             stacklevel=2,
         )
+    features = freeze(np.frombuffer(features, dtype=np.float64))
     return Dataset(
-        features=np.frombuffer(features, dtype=np.float64).reshape(
-            labels.shape[0], len(feature_names)
-        ),
+        features=features.reshape(labels.shape[0], len(feature_names)),
         labels=labels,
         feature_names=feature_names,
-        source_tag=source_tag if source_tag is not None else str(path),
     )
 
 
@@ -249,17 +237,13 @@ class ColumnStandardizer(BaseEstimator):
                 raise KeyError(f"unknown feature column {name!r}")
             j = dataset.feature_names.index(name)
             features[:, j] = (features[:, j] - mu) / sigma
-        return dataset.with_features(features, dataset.feature_names)
-
-    def fit_transform(self, dataset):
-        return self.fit(dataset).transform(dataset)
+        return dataset.with_features(freeze(features), dataset.feature_names)
 
 
 @dataclass(frozen=True)
 class SplitIndices:
     train_idx: np.ndarray
     test_idx: np.ndarray
-    fold_assignments: np.ndarray = None
 
     def __post_init__(self):
         object.__setattr__(self, "train_idx", np.asarray(self.train_idx, np.int64))

@@ -9,6 +9,7 @@ passthrough selector instead of a refit.
 import numpy as np
 
 from .base import BaseEstimator
+from .dataset import freeze
 from .validation import check_array, check_feature_width
 
 
@@ -159,4 +160,5 @@ def select_encoded(dataset, dims, prefix="V", keep=()):
         if name not in names:
             names.append(name)
     indices = [dataset.feature_names.index(n) for n in names]
-    return dataset.with_features(dataset.features[:, indices], names)
+    # take, unlike [:, indices], gives the C-ordered array a Dataset keeps
+    return dataset.with_features(freeze(dataset.features.take(indices, axis=1)), names)

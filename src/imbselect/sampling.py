@@ -17,7 +17,7 @@ import numpy as np
 from .base import BaseEstimator, build_estimator, derive_rng, derive_seed
 from .classifiers.forest import RandomForestClassifier
 from .classifiers.neighbors import positive_counts, squared_distances
-from .dataset import Dataset, round_half_away, stratified_folds
+from .dataset import Dataset, freeze, round_half_away, stratified_folds
 from .validation import check_X_y, require_both_classes
 
 
@@ -83,8 +83,7 @@ def _minority_neighbor_table(minority, k):
     n = minority.shape[0]
     if k >= n:
         raise ValueError(f"k_neighbors={k} must be below the minority count {n}")
-    sq = (minority * minority).sum(axis=1)
-    d2 = sq[:, None] - 2.0 * (minority @ minority.T) + sq[None, :]
+    d2 = squared_distances(minority, minority, (minority * minority).sum(axis=1))
     np.fill_diagonal(d2, np.inf)
     order = np.argsort(d2, axis=1, kind="stable")
     return order[:, :k]
@@ -308,9 +307,4 @@ def resample(spec, train, seed=0):
         return train
     sampler = make_sampler(spec, seed)
     X, y = sampler.fit_resample(train.features, train.labels)
-    return Dataset(
-        features=X,
-        labels=y,
-        feature_names=train.feature_names,
-        source_tag=train.source_tag,
-    )
+    return Dataset(features=freeze(X), labels=freeze(y), feature_names=train.feature_names)

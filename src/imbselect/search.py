@@ -20,6 +20,7 @@ import numpy as np
 
 from .base import derive_seed
 from .classifiers import ClassifierSpec, make_classifier
+from .dataset import freeze
 from .decomposition import PrincipalComponents, encoded_column_names, select_encoded
 from .metrics import METRIC_KEYS, MetricRecord, metric_record
 from .sampling import SamplerSpec, resample
@@ -147,7 +148,7 @@ def _reduce(cell, cfg, pca, dataset):
         )
     scores = pca.transform(dataset.features, n_components=cell.dims)
     names = tuple(f"PC{i}" for i in range(1, cell.dims + 1))
-    return dataset.with_features(scores, names)
+    return dataset.with_features(freeze(scores), names)
 
 
 def _failed(record, exc):
@@ -155,11 +156,12 @@ def _failed(record, exc):
     return replace(record, status="failed", error=f"{type(exc).__name__}: {exc}")
 
 
-def evaluate_cell(cell, train, test, cfg, pca=None):
+def evaluate_cell(cell, train, test, cfg, pca):
     """Reduce, rebalance, fit and score the test split once.
 
-    The record keeps the test scores for the votes; failures become failed
-    records.
+    ``pca`` is the basis fitted on ``train`` (unused, and may be None, for a
+    pre-encoded grid). The record keeps the test scores for the votes;
+    failures become failed records.
     """
     seed = derive_seed(cfg.master_seed, "cell", cell.index)
     record = EvaluationRecord(
@@ -170,8 +172,6 @@ def evaluate_cell(cell, train, test, cfg, pca=None):
         cell=cell,
     )
     try:
-        if not cfg.pre_encoded and pca is None:
-            pca = PrincipalComponents().fit(train.features)
         start = time.perf_counter()
         balanced = resample(cell.sampler, _reduce(cell, cfg, pca, train), seed=seed)
         model = make_classifier(cell.classifier, seed=seed).fit(

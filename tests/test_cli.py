@@ -1,6 +1,8 @@
 import csv
 import hashlib
 import json
+import re
+import runpy
 import tracemalloc
 from pathlib import Path
 
@@ -10,6 +12,8 @@ from imbselect.cli import main
 from imbselect.config import load_config, validate_config
 from imbselect.fixtures import make_fixture
 from imbselect.report import LEADERBOARD_COLUMNS
+
+ROOT = Path(__file__).resolve().parents[1]
 
 
 @pytest.fixture
@@ -338,3 +342,84 @@ def test_unknown_classifier_option_is_config_error(
     assert main(["run", "--config", str(config)]) == 2
     assert message in capsys.readouterr().err
     assert not (tmp_path / "out").exists()
+
+
+@pytest.mark.parametrize(
+    "section, text, message",
+    [
+        ("dataset", "standardise_all = true", "unknown key 'standardise_all' in [dataset]"),
+        ("grid", "metrc = auroc_curve", "unknown key 'metrc' in [grid]"),
+        ("output", "workes = 2", "unknown key 'workes' in [output]"),
+        (None, "[sampler.smot]\nk_neighbors = 3", "unknown section [sampler.smot]"),
+        (None, "[classifer.knn]\nk = 3", "unknown section [classifer.knn]"),
+        (
+            None,
+            "[sampler.iht]\ntarget_ratio = 0.2",
+            "[sampler.iht] must be spelt [sampler.instance_hardness_threshold]",
+        ),
+    ],
+)
+def test_misspelt_key_or_section_is_config_error(
+    tmp_path, fixture_csv, capsys, section, text, message
+):
+    config = write_config(tmp_path, fixture_csv)
+    body = config.read_text(encoding="utf-8")
+    if section is None:
+        body += f"\n{text}\n"
+    else:
+        body = body.replace(f"[{section}]\n", f"[{section}]\n{text}\n", 1)
+    config.write_text(body, encoding="utf-8")
+    assert main(["validate", "--config", str(config)]) == 2
+    assert any(
+        line.startswith("error:") and message in line
+        for line in capsys.readouterr().out.splitlines()
+    )
+    assert main(["run", "--config", str(config)]) == 2
+    assert message in capsys.readouterr().err
+    assert not (tmp_path / "out").exists()
+
+
+def test_override_section_of_a_known_kind_outside_the_grid_is_accepted(
+    tmp_path, fixture_csv
+):
+    config = write_config(tmp_path, fixture_csv)
+    with open(config, "a", encoding="utf-8") as handle:
+        handle.write("\n[sampler.smote]\nk_neighbors = 3\n\n[classifier.knn]\nk = 3\n")
+    assert validate_config(config) == []
+
+
+# The benchmark and the shipped configs write their INI files by hand; with
+# strict keys, a name they use that the reader does not know would stop them.
+# perfbench is read, never imported into the package or written to.
+WORKLOADS = runpy.run_path(str(ROOT / "perfbench" / "workloads.py"))
+
+
+@pytest.mark.parametrize("name", sorted(WORKLOADS["WORKLOADS"]))
+def test_benchmark_configs_validate(tmp_path, name):
+    workload = WORKLOADS["WORKLOADS"][name]
+    data = make_fixture(
+        "gaussian-imbalanced", 200, 0.05, seed=1, out_path=tmp_path / "w.csv",
+        n_features=WORKLOADS["ENCODED_FEATURES"],
+    )
+    config = tmp_path / "run.ini"
+    config.write_text(
+        WORKLOADS["config_text"](workload, data, tmp_path / "out", seed=0, workers=1),
+        encoding="utf-8",
+    )
+    assert not [d for d in validate_config(config) if d.startswith("error:")]
+
+
+@pytest.mark.parametrize(
+    "name, n_features", [("quickstart.ini", 10), ("creditcard.ini", 28)]
+)
+def test_shipped_configs_validate(tmp_path, name, n_features):
+    data = make_fixture(
+        "gaussian-imbalanced", 200, 0.05, seed=1, out_path=tmp_path / "d.csv",
+        n_features=n_features,
+    )
+    text = (ROOT / "configs" / name).read_text(encoding="utf-8")
+    text, count = re.subn(r"(?m)^path = .*$", f"path = {data}", text)
+    assert count == 1
+    config = tmp_path / name
+    config.write_text(text, encoding="utf-8")
+    assert not [d for d in validate_config(config) if d.startswith("error:")]

@@ -37,7 +37,7 @@ class TestLoadCsv:
     def test_five_row_fixture(self, five_row_csv):
         ds = load_csv(five_row_csv, label_column="Class", positive_label=1)
         assert ds.n_rows == 5
-        assert ds.n_positive == 2
+        assert int(ds.labels.sum()) == 2
         assert ds.feature_names == ("a", "b")
         assert ds.features[2].tolist() == [3.0, 30.0]
         assert ds.labels.tolist() == [0, 0, 1, 0, 1]
@@ -120,7 +120,8 @@ class TestLoadCsv:
         finally:
             tracemalloc.stop()
         assert ds.features.shape == (20_000, 30)
-        assert peak <= 3 * ds.features.nbytes
+        # the parsed buffer becomes the Dataset's array: no second copy
+        assert peak <= 1.5 * ds.features.nbytes
 
 
 def reference_load_csv(path, label_column, positive_label=1):
@@ -272,6 +273,40 @@ def toy(features, labels, names=None):
     return Dataset(features=features, labels=labels, feature_names=tuple(names))
 
 
+class TestOwnership:
+    def test_later_writes_to_a_writeable_input_never_reach_the_dataset(self):
+        features = np.array([[1.0, 2.0], [3.0, 4.0]])
+        labels = np.array([0, 1])
+        ds = Dataset(features=features, labels=labels, feature_names=("a", "b"))
+        features[0, 0] = 99.0
+        labels[0] = 1
+        assert ds.features.tolist() == [[1.0, 2.0], [3.0, 4.0]]
+        assert ds.labels.tolist() == [0, 1]
+        assert not ds.features.flags.writeable and not ds.labels.flags.writeable
+
+    def test_read_only_input_is_shared(self):
+        features = np.array([[1.0, 2.0], [3.0, 4.0]])
+        labels = np.array([0, 1], dtype=np.int64)
+        features.flags.writeable = False
+        labels.flags.writeable = False
+        ds = Dataset(features=features, labels=labels, feature_names=("a", "b"))
+        assert np.shares_memory(ds.features, features)
+        assert np.shares_memory(ds.labels, labels)
+
+    def test_read_only_input_out_of_c_order_is_copied_into_c_order(self):
+        features = np.asfortranarray([[1.0, 2.0], [3.0, 4.0]])
+        features.flags.writeable = False
+        ds = Dataset(features=features, labels=[0, 1], feature_names=("a", "b"))
+        assert ds.features.flags.c_contiguous
+        assert not np.shares_memory(ds.features, features)
+        assert np.array_equal(ds.features, features)
+
+    def test_with_features_keeps_the_parents_labels(self):
+        ds = toy([[1.0], [2.0]], [0, 1])
+        child = ds.with_features(np.array([[5.0], [6.0]]), ["z"])
+        assert child.labels is ds.labels
+
+
 class TestStandardizer:
     def test_hand_computed_moments(self):
         ds = toy([[2.0], [4.0], [6.0]], [0, 0, 1])
@@ -290,13 +325,13 @@ class TestStandardizer:
 
     def test_empty_column_set_is_identity(self):
         ds = toy([[1.0, 2.0]], [1])
-        out = ColumnStandardizer(columns=[]).fit_transform(ds)
+        out = ColumnStandardizer(columns=[]).fit(ds).transform(ds)
         assert out.features.tolist() == ds.features.tolist()
 
     def test_self_standardization_is_zero_mean_unit_std(self):
         rng = np.random.default_rng(3)
         ds = toy(rng.normal(5, 3, (40, 3)), rng.integers(0, 2, 40))
-        out = ColumnStandardizer().fit_transform(ds)
+        out = ColumnStandardizer().fit(ds).transform(ds)
         assert np.all(np.abs(out.features.mean(axis=0)) < 1e-10)
         assert np.all(np.abs(out.features.std(axis=0) - 1.0) < 1e-10)
 
@@ -322,7 +357,7 @@ class TestStandardizer:
 
     def test_selected_columns_only(self):
         ds = toy([[2.0, 100.0], [4.0, 200.0], [6.0, 300.0]], [0, 0, 1])
-        out = ColumnStandardizer(columns=["c1"]).fit_transform(ds)
+        out = ColumnStandardizer(columns=["c1"]).fit(ds).transform(ds)
         assert np.array_equal(out.column("c0"), ds.column("c0"))
         assert abs(out.column("c1").mean()) < 1e-12
 

@@ -1,7 +1,10 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from imbselect.base import derive_rng, derive_seed
+from imbselect.classifiers.neighbors import squared_distances
 from imbselect.dataset import Dataset
 from imbselect.sampling import (
     Adasyn,
@@ -11,6 +14,7 @@ from imbselect.sampling import (
     SAMPLER_KINDS,
     SamplerSpec,
     Smote,
+    _minority_neighbor_table,
     adasyn_generation_counts,
     make_sampler,
     resample,
@@ -252,7 +256,8 @@ class TestResampleContract:
         ds = Dataset(X, y, tuple(f"f{i}" for i in range(X.shape[1])))
         spec = SamplerSpec(kind, target_ratio=0.8, k_neighbors=3, iht_folds=3)
         out = resample(spec, ds, seed=42)
-        n_pos, n_neg = out.n_positive, out.n_negative
+        n_pos = int(out.labels.sum())
+        n_neg = out.n_rows - n_pos
         assert abs(n_pos / n_neg - 0.8) <= 1.0 / n_neg + 1e-12
         again = resample(spec, ds, seed=42)
         assert np.array_equal(out.features, again.features)
@@ -298,5 +303,33 @@ def test_make_sampler_takes_every_argument_from_the_spec(kind):
         "n_folds": 4,
         "seed": derive_seed(9, 0, kind),
     }
-    params = make_sampler(spec, seed=9).get_params()
+    # an unfitted sampler's attributes are its constructor arguments
+    params = vars(make_sampler(spec, seed=9))
     assert params == {name: expected[name] for name in params}
+
+
+@st.composite
+def minority_with_repeats(draw):
+    """Small minority sets on an integer grid, some rows repeated, so that
+    equal distances (zero and otherwise) are common; plus a valid k."""
+    n_distinct = draw(st.integers(1, 10))
+    n_repeats = draw(st.integers(0 if n_distinct > 1 else 1, 6))
+    p = draw(st.integers(1, 5))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    distinct = rng.integers(-3, 4, (n_distinct, p)) * draw(st.sampled_from([1.0, 0.1, 7.3]))
+    rows = np.vstack([distinct, distinct[rng.integers(0, n_distinct, n_repeats)]])
+    minority = rows[rng.permutation(len(rows))]
+    return minority, draw(st.integers(1, len(minority) - 1))
+
+
+@settings(max_examples=150, deadline=None)
+@given(minority_with_repeats())
+def test_minority_neighbor_table_matches_the_written_out_formula(case):
+    minority, k = case
+    sq = (minority * minority).sum(axis=1)
+    # the expression the neighbour table used before it called squared_distances
+    reference = sq[:, None] - 2.0 * (minority @ minority.T) + sq[None, :]
+    assert squared_distances(minority, minority, sq).tobytes() == reference.tobytes()
+    np.fill_diagonal(reference, np.inf)
+    expected = np.argsort(reference, axis=1, kind="stable")[:, :k]
+    assert np.array_equal(_minority_neighbor_table(minority, k), expected)

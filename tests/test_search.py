@@ -29,6 +29,11 @@ from imbselect.search import (
 )
 
 
+def fit_pca(train):
+    """The basis run_search fits once on the training split."""
+    return PrincipalComponents().fit(train.features)
+
+
 def fixture_dataset(n_pos=24, n_neg=150, p=5, seed=0, encoded=False):
     rng = np.random.default_rng(seed)
     signal = 2.2 / np.sqrt(np.arange(1, p + 1))
@@ -170,7 +175,7 @@ class TestEvaluateCell:
         train, test = split_fixture(fixture_dataset())
         cfg = small_config()
         cell = enumerate_grid(cfg)[1]  # dims=2, none, gaussian_nb
-        record = evaluate_cell(cell, train, test, cfg)
+        record = evaluate_cell(cell, train, test, cfg, fit_pca(train))
         assert record.ok
         assert record.metrics.f1 > 0.2
         assert record.metrics.train_time_seconds > 0
@@ -179,7 +184,7 @@ class TestEvaluateCell:
     def test_dummy_cell_exact_baseline(self):
         train, test = split_fixture(fixture_dataset())
         cfg = small_config()
-        record = evaluate_cell(enumerate_grid(cfg)[0], train, test, cfg)
+        record = evaluate_cell(enumerate_grid(cfg)[0], train, test, cfg, fit_pca(train))
         assert record.metrics.recall == 1.0
         assert record.metrics.gmean == 0.0
 
@@ -190,7 +195,7 @@ class TestEvaluateCell:
             classifier_specs=(ClassifierSpec("ridge"),),
             top_k=1,
         )
-        record = evaluate_cell(enumerate_grid(cfg)[0], train, test, cfg)
+        record = evaluate_cell(enumerate_grid(cfg)[0], train, test, cfg, fit_pca(train))
         assert not record.ok
         assert "minority count" in record.error
 
@@ -207,8 +212,8 @@ class TestEvaluateCell:
         train, test = split_fixture(fixture_dataset())
         cfg = small_config()
         cell = enumerate_grid(cfg)[4]
-        a = evaluate_cell(cell, train, test, cfg)
-        b = evaluate_cell(cell, train, test, cfg)
+        a = evaluate_cell(cell, train, test, cfg, fit_pca(train))
+        b = evaluate_cell(cell, train, test, cfg, fit_pca(train))
         assert a.metrics.f1 == b.metrics.f1
         assert a.seed_used == b.seed_used
 
@@ -381,7 +386,8 @@ def test_build_ensemble_members_use_own_pipelines():
         classifier_specs=(ClassifierSpec("gaussian_nb"), ClassifierSpec("ridge")),
         top_k=3,
     )
-    records = [evaluate_cell(cell, train, test, cfg) for cell in enumerate_grid(cfg)]
+    pca = fit_pca(train)
+    records = [evaluate_cell(cell, train, test, cfg, pca) for cell in enumerate_grid(cfg)]
     members = []
     for record in records:
         members = build_ensemble(members, record, cfg)
