@@ -33,7 +33,7 @@ from .metrics import (
     matthews,
     metric_record,
 )
-from .sampling import SAMPLER_KINDS, SamplerSpec, make_sampler, resample
+from .sampling import SAMPLER_KINDS, SamplerSpec, resample
 from .search import (
     EvaluationRecord,
     GridConfig,
@@ -74,7 +74,6 @@ __all__ = [
     "load_csv",
     "make_classifier",
     "make_fixture",
-    "make_sampler",
     "matthews",
     "metric_record",
     "rank",

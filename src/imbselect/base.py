@@ -3,12 +3,14 @@
 Estimators follow the scikit-learn convention: constructor arguments are
 hyperparameters stored verbatim and learned state lives in trailing-underscore
 attributes set by ``fit``. The constructor's argument names are the one piece
-of introspection the package uses: config checks read them to reject unknown
-options, and ``build_estimator`` to decide whether an estimator takes a seed.
+of introspection the package uses: a ``Spec`` reads them to reject unknown
+options and to decide whether an estimator takes a seed.
 """
 
 import hashlib
 import inspect
+from dataclasses import dataclass, field
+from typing import ClassVar
 
 import numpy as np
 
@@ -66,10 +68,40 @@ def derive_seed(*keys):
     return int(seed_sequence(*keys).generate_state(1, np.uint64)[0])
 
 
-def build_estimator(cls, kind, params, seed):
-    """``cls(**params)``; a constructor that takes ``seed`` gets one derived
-    from ``(seed, kind)`` unless ``params`` sets it."""
-    if "seed" in cls._param_names() and "seed" not in params:
-        # the 0 is the former per-spec salt, always 0, so seeds stay as they were
-        params = {**params, "seed": derive_seed(seed, 0, kind)}
-    return cls(**params)
+@dataclass(frozen=True)
+class Spec:
+    """A registered estimator kind plus the constructor arguments it is
+    given, checked once when the spec is made.
+
+    Subclasses name their ``family`` and ``registry``. Every option must be
+    a constructor argument of the kind; ``seed`` never is, since ``build``
+    derives it. Making the spec builds one instance, so a constructor's own
+    range checks fail here, before any work.
+    """
+
+    family: ClassVar[str]
+    registry: ClassVar[dict]
+    kind: str
+    params: dict = field(default_factory=dict)
+
+    def __post_init__(self):
+        if self.kind not in self.registry:
+            raise ValueError(
+                f"unknown {self.family} kind {self.kind!r}; "
+                f"known kinds: {sorted(self.registry)}"
+            )
+        known = [n for n in self.registry[self.kind]._param_names() if n != "seed"]
+        unknown = sorted(set(self.params) - set(known))
+        if unknown:
+            raise ValueError(f"unknown option(s) {unknown}; known: {known}")
+        self.build()
+
+    def build(self, seed=0):
+        """Fresh unfitted estimator; one that takes ``seed`` gets one derived
+        from ``(seed, kind)``."""
+        cls = self.registry[self.kind]
+        params = self.params
+        if "seed" in cls._param_names():
+            # the 0 is the former per-spec salt, always 0, so seeds stay as they were
+            params = {**params, "seed": derive_seed(seed, 0, self.kind)}
+        return cls(**params)

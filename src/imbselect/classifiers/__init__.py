@@ -6,9 +6,7 @@ plugged-in library wrapper) register themselves without touching the
 search machinery.
 """
 
-from dataclasses import dataclass, field
-
-from ..base import build_estimator
+from ..base import Spec
 from .base import BinaryClassifier
 from .boosting import DiscreteAdaBoost, RealAdaBoost
 from .dummy import ConstantPositive
@@ -49,21 +47,9 @@ def register_classifier(kind, cls):
     CLASSIFIER_REGISTRY[kind] = cls
 
 
-@dataclass(frozen=True)
-class ClassifierSpec:
-    kind: str
-    params: dict = field(default_factory=dict)
-
-    def __post_init__(self):
-        if self.kind not in CLASSIFIER_REGISTRY:
-            raise ValueError(
-                f"unknown classifier kind {self.kind!r}; "
-                f"known kinds: {sorted(CLASSIFIER_REGISTRY)}"
-            )
-        known = CLASSIFIER_REGISTRY[self.kind]._param_names()
-        unknown = sorted(set(self.params) - set(known))
-        if unknown:
-            raise ValueError(f"unknown option(s) {unknown}; known: {known}")
+class ClassifierSpec(Spec):
+    family = "classifier"
+    registry = CLASSIFIER_REGISTRY
 
     @property
     def label(self):
@@ -74,5 +60,8 @@ class ClassifierSpec:
 
 
 def make_classifier(spec, seed=0):
-    """Fresh unfitted estimator for a ClassifierSpec, with a derived seed."""
-    return build_estimator(CLASSIFIER_REGISTRY[spec.kind], spec.kind, spec.params, seed)
+    """Fresh unfitted estimator for a ClassifierSpec, with a derived seed.
+
+    ``search`` calls this by module name, so a tracer can rebind it.
+    """
+    return spec.build(seed)

@@ -7,8 +7,6 @@ thresholded at 0. ``predict`` is always the thresholded score, so the two
 surfaces can never disagree.
 """
 
-import time
-
 import numpy as np
 
 from ..base import BaseEstimator
@@ -30,9 +28,7 @@ class BinaryClassifier(BaseEstimator):
         if self.requires_both_classes:
             require_both_classes(y)
         self.fit_flags_ = set()
-        start = time.perf_counter()
         self._fit(X, y)
-        self.train_time_s_ = time.perf_counter() - start
         self.n_features_in_ = X.shape[1]
         return self
 

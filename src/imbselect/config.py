@@ -7,9 +7,10 @@ formats, workers), plus optional ``[sampler.<kind>]`` and
 those three sections do not read, is an error: a misspelt name would
 otherwise fall back to its default without a word.
 
-Diagnostics come in two severities: errors block a run, warnings do not
-(dims beyond the dataset width are clamped at run time, an even top_k
-only breaks the hard-voting row).
+An override section's keys are constructor arguments of that kind, checked
+when its spec is made. Diagnostics come in two severities: errors block a
+run, warnings do not (dims beyond the dataset width are clamped at run
+time, an even top_k only breaks the hard-voting row).
 """
 
 import configparser
@@ -17,15 +18,14 @@ import csv
 import dataclasses
 import os
 
-from .classifiers import CLASSIFIER_REGISTRY, ClassifierSpec
+from .classifiers import ClassifierSpec
 from .dataset import DatasetError, parse_header
-from .decomposition import encoded_column_names
 from .metrics import METRIC_KEYS
-from .sampling import SAMPLER_KINDS, SamplerSpec
-from .search import GridConfig, clamp_dims
+from .sampling import SamplerSpec
+from .search import GridConfig, clamp_dims, usable_width
 
+SPEC_FAMILIES = {"sampler": SamplerSpec, "classifier": ClassifierSpec}
 SAMPLER_ALIASES = {"iht": "instance_hardness_threshold"}
-SAMPLER_OPTIONS = {f.name for f in dataclasses.fields(SamplerSpec)} - {"kind"}
 SECTION_KEYS = {
     "dataset": ("path", "label_column", "positive_label", "pre_encoded", "encoded_prefix",
                 "standardize_columns", "standardize_all", "keep_raw_columns", "sha256"),
@@ -105,24 +105,12 @@ def _layout_errors(parser):
             errors.append(
                 f"section [{section}] must be spelt [sampler.{SAMPLER_ALIASES[kind]}]"
             )
-        elif not (
-            (family == "sampler" and kind in SAMPLER_KINDS)
-            or (family == "classifier" and kind in CLASSIFIER_REGISTRY)
-        ):
+        elif family not in SPEC_FAMILIES or kind not in SPEC_FAMILIES[family].registry:
             errors.append(
                 f"unknown section [{section}]; expected [dataset], [grid], [output], "
                 "[sampler.<kind>] or [classifier.<kind>] with a known kind"
             )
     return errors
-
-
-def _build_sampler_spec(kind, overrides, cv_folds):
-    fields = {"iht_folds": cv_folds} if kind == "instance_hardness_threshold" else {}
-    fields.update(overrides)
-    unknown = set(fields) - SAMPLER_OPTIONS
-    if unknown:
-        raise ValueError(f"unknown sampler option(s): {sorted(unknown)}")
-    return SamplerSpec(kind, **fields)
 
 
 def load_config(path, overrides=None):
@@ -194,37 +182,29 @@ def _read(path, overrides):
         errors.append("grid.cv_folds must be >= 2")
         cv_folds = 5
 
-    sampler_specs = []
-    for raw in _parse_list(grid_section.get("samplers", "none")):
-        kind = SAMPLER_ALIASES.get(raw, raw)
-        if kind not in SAMPLER_KINDS:
-            errors.append(f"unknown sampler {raw!r}; known: {SAMPLER_KINDS}")
-            continue
-        try:
-            sampler_specs.append(
-                _build_sampler_spec(
-                    kind, _section_params(parser, f"sampler.{kind}"), cv_folds
+    specs = {}
+    for family, spec_cls in SPEC_FAMILIES.items():
+        is_sampler = family == "sampler"
+        aliases = SAMPLER_ALIASES if is_sampler else {}
+        names = _parse_list(grid_section.get(f"{family}s", "none" if is_sampler else ""))
+        if not names:
+            errors.append(f"grid.{family}s must name at least one {family}")
+        specs[family] = []
+        for raw in names:
+            kind = aliases.get(raw, raw)
+            if kind not in spec_cls.registry:
+                errors.append(
+                    f"unknown {family} {raw!r}; known: {sorted(spec_cls.registry)}"
                 )
-            )
-        except (ValueError, TypeError) as exc:
-            errors.append(f"sampler {kind!r}: {exc}")
-
-    classifier_specs = []
-    classifier_names = _parse_list(grid_section.get("classifiers", ""))
-    for raw in classifier_names:
-        if raw not in CLASSIFIER_REGISTRY:
-            errors.append(
-                f"unknown classifier {raw!r}; known: {sorted(CLASSIFIER_REGISTRY)}"
-            )
-            continue
-        try:
-            classifier_specs.append(
-                ClassifierSpec(raw, _section_params(parser, f"classifier.{raw}"))
-            )
-        except (ValueError, TypeError) as exc:
-            errors.append(f"classifier {raw!r}: {exc}")
-    if not classifier_names:
-        errors.append("grid.classifiers must name at least one classifier")
+                continue
+            params = _section_params(parser, f"{family}.{kind}")
+            if kind == "instance_hardness_threshold":
+                params = {"iht_folds": cv_folds, **params}
+            try:
+                specs[family].append(spec_cls(kind, params))
+            except (ValueError, TypeError) as exc:
+                errors.append(f"{family} {kind!r}: {exc}")
+    sampler_specs, classifier_specs = specs["sampler"], specs["classifier"]
     # repeated entries would give leaderboard rows that cannot be told apart
     for option, labels in (
         ("dims", list(dims_list)),
@@ -259,12 +239,11 @@ def _read(path, overrides):
         if fmt not in ("csv", "json"):
             errors.append(f"unknown report format {fmt!r}")
 
-    ds_errors, ds_warnings, width = _dataset_diagnostics(
-        dataset_path, label_column, pre_encoded, encoded_prefix, dims_list,
+    ds_errors, width = _dataset_diagnostics(
+        dataset_path, label_column, pre_encoded, encoded_prefix,
         standardize_columns, keep_raw_columns,
     )
     errors.extend(ds_errors)
-    warnings.extend(ds_warnings)
 
     grid = None
     if not errors:
@@ -284,7 +263,7 @@ def _read(path, overrides):
             if width:
                 # dims entries that clamp to one width run once, which can
                 # leave fewer cells than top_k
-                clamp_dims(grid, width)
+                warnings.extend(clamp_dims(grid, width)[1])
         except ValueError as exc:
             errors.append(str(exc))
     if errors:
@@ -304,43 +283,34 @@ def _read(path, overrides):
     )
 
 
-def _dataset_diagnostics(path, label_column, pre_encoded, prefix, dims_list,
+def _dataset_diagnostics(path, label_column, pre_encoded, prefix,
                          standardize_columns, keep_raw_columns):
     """Header-only checks; the dataset body is not read here. Also returns
     the width dims are clamped to, or 0 when the header cannot tell."""
     errors = []
-    warnings = []
     if not path or not label_column:
-        return errors, warnings, 0
+        return errors, 0
     if not os.path.exists(path):
         errors.append(f"dataset file not found: {path}")
-        return errors, warnings, 0
+        return errors, 0
     try:
         with open(path, newline="", encoding="utf-8") as handle:
             header = next(csv.reader(handle), None)
     except OSError as exc:
         errors.append(f"dataset file unreadable: {exc}")
-        return errors, warnings, 0
+        return errors, 0
     if not header:
         errors.append(f"dataset file has no header row: {path}")
-        return errors, warnings, 0
+        return errors, 0
     try:
         _, features = parse_header(header, label_column)
     except DatasetError as exc:
         errors.append(str(exc))
-        return errors, warnings, 0
+        return errors, 0
     for name in list(standardize_columns) + list(keep_raw_columns):
         if name not in features:
             errors.append(f"column {name!r} not in dataset header")
-    if pre_encoded:
-        width = len(encoded_column_names(features, prefix))
-        if width == 0:
-            errors.append(f"pre_encoded is set but no {prefix}<n> columns are present")
-    else:
-        width = len(features)
-    for dims in sorted(set(dims_list)):
-        if width and dims > width:
-            warnings.append(
-                f"dims={dims} exceeds dataset width {width}; it will be clamped"
-            )
-    return errors, warnings, width
+    width = usable_width(features, pre_encoded, prefix)
+    if pre_encoded and width == 0:
+        errors.append(f"pre_encoded is set but no {prefix}<n> columns are present")
+    return errors, width

@@ -7,50 +7,29 @@ replacement), oversamplers append to the original rows, and all synthetic
 minority points lie on segments between minority neighbours.
 
 ``target_ratio`` is the desired minority/majority count ratio after
-resampling; 1.0 means full balance.
+resampling; 1.0 means full balance. Constructors check their arguments'
+ranges, so a bad option fails when its spec is made.
 """
-
-from dataclasses import dataclass, fields
 
 import numpy as np
 
-from .base import BaseEstimator, build_estimator, derive_rng, derive_seed
+from .base import BaseEstimator, Spec, derive_rng, derive_seed
 from .classifiers.forest import RandomForestClassifier
 from .classifiers.neighbors import positive_counts, squared_distances
 from .dataset import Dataset, freeze, round_half_away, stratified_folds
 from .validation import check_X_y, require_both_classes
 
 
-@dataclass(frozen=True)
-class SamplerSpec:
-    kind: str
-    target_ratio: float = 1.0
-    k_neighbors: int = 5
-    with_replacement: bool = False
-    iht_folds: int = 5
+def _check_ratio(target_ratio):
+    if not 0.0 < target_ratio <= 1.0:
+        raise ValueError(f"target_ratio must be in (0, 1], got {target_ratio}")
+    return target_ratio
 
-    def __post_init__(self):
-        if self.kind not in SAMPLER_REGISTRY:
-            raise ValueError(
-                f"unknown sampler kind {self.kind!r}; known kinds: {SAMPLER_KINDS}"
-            )
-        if not 0.0 < self.target_ratio <= 1.0:
-            raise ValueError(f"target_ratio must be in (0, 1], got {self.target_ratio}")
-        if self.k_neighbors < 1:
-            raise ValueError(f"k_neighbors must be >= 1, got {self.k_neighbors}")
-        if self.iht_folds < 2:
-            raise ValueError(f"iht_folds must be >= 2, got {self.iht_folds}")
 
-    @property
-    def label(self):
-        if self.kind == "none":
-            return "none"
-        parts = [f"ratio={self.target_ratio:g}"]
-        if self.kind in ("smote", "adasyn"):
-            parts.append(f"k={self.k_neighbors}")
-        if self.kind == "random_under" and self.with_replacement:
-            parts.append("replacement")
-        return f"{self.kind}({','.join(parts)})"
+def _check_at_least(name, value, low):
+    if value < low:
+        raise ValueError(f"{name} must be >= {low}, got {value}")
+    return value
 
 
 def _class_indices(y):
@@ -96,7 +75,7 @@ class IdentitySampler(BaseEstimator):
 
 class RandomUnderSampler(BaseEstimator):
     def __init__(self, target_ratio=1.0, with_replacement=False, seed=0):
-        self.target_ratio = target_ratio
+        self.target_ratio = _check_ratio(target_ratio)
         self.with_replacement = with_replacement
         self.seed = seed
 
@@ -119,15 +98,15 @@ class InstanceHardnessThreshold(BaseEstimator):
     the training split. Minority rows are always kept.
     """
 
-    def __init__(self, target_ratio=1.0, n_folds=5, seed=0):
-        self.target_ratio = target_ratio
-        self.n_folds = n_folds
+    def __init__(self, target_ratio=1.0, iht_folds=5, seed=0):
+        self.target_ratio = _check_ratio(target_ratio)
+        self.iht_folds = _check_at_least("iht_folds", iht_folds, 2)
         self.seed = seed
 
     def _out_of_fold_true_class_probability(self, X, y):
-        folds = stratified_folds(y, self.n_folds, seed=derive_seed(self.seed, "iht_folds"))
+        folds = stratified_folds(y, self.iht_folds, seed=derive_seed(self.seed, "iht_folds"))
         proba_true = np.empty(X.shape[0])
-        for f in range(self.n_folds):
+        for f in range(self.iht_folds):
             held = folds == f
             model = RandomForestClassifier(
                 n_trees=50,
@@ -158,7 +137,7 @@ class InstanceHardnessThreshold(BaseEstimator):
 
 class RandomOverSampler(BaseEstimator):
     def __init__(self, target_ratio=1.0, seed=0):
-        self.target_ratio = target_ratio
+        self.target_ratio = _check_ratio(target_ratio)
         self.seed = seed
 
     def fit_resample(self, X, y):
@@ -189,8 +168,8 @@ def smote_synthesize(minority, k_neighbors, count, rng):
 
 class Smote(BaseEstimator):
     def __init__(self, target_ratio=1.0, k_neighbors=5, seed=0):
-        self.target_ratio = target_ratio
-        self.k_neighbors = k_neighbors
+        self.target_ratio = _check_ratio(target_ratio)
+        self.k_neighbors = _check_at_least("k_neighbors", k_neighbors, 1)
         self.seed = seed
 
     def fit_resample(self, X, y):
@@ -232,8 +211,8 @@ class Adasyn(BaseEstimator):
     points surrounded by majority neighbours receive more synthetics."""
 
     def __init__(self, target_ratio=1.0, k_neighbors=5, seed=0):
-        self.target_ratio = target_ratio
-        self.k_neighbors = k_neighbors
+        self.target_ratio = _check_ratio(target_ratio)
+        self.k_neighbors = _check_at_least("k_neighbors", k_neighbors, 1)
         self.seed = seed
 
     def _hardness(self, X, y, pos_idx):
@@ -285,26 +264,30 @@ SAMPLER_REGISTRY = {
 }
 SAMPLER_KINDS = tuple(SAMPLER_REGISTRY)
 
-# SamplerSpec fields whose constructor argument has another name
-_ARGUMENT_NAMES = {"iht_folds": "n_folds"}
 
+class SamplerSpec(Spec):
+    family = "sampler"
+    registry = SAMPLER_REGISTRY
 
-def make_sampler(spec, seed=0):
-    """Fresh sampler for a SamplerSpec, with a derived seed."""
-    cls = SAMPLER_REGISTRY[spec.kind]
-    accepted = cls._param_names()
-    params = {}
-    for f in fields(spec):
-        name = _ARGUMENT_NAMES.get(f.name, f.name)
-        if name in accepted:
-            params[name] = getattr(spec, f.name)
-    return build_estimator(cls, spec.kind, params, seed)
+    @property
+    def label(self):
+        """Leaderboard name, read off the built sampler: its ratio, then
+        ``k`` and ``replacement`` where the kind takes them."""
+        if self.kind == "none":
+            return "none"
+        sampler = self.build()
+        parts = [f"ratio={sampler.target_ratio:g}"]
+        if hasattr(sampler, "k_neighbors"):
+            parts.append(f"k={sampler.k_neighbors}")
+        if getattr(sampler, "with_replacement", False):
+            parts.append("replacement")
+        return f"{self.kind}({','.join(parts)})"
 
 
 def resample(spec, train, seed=0):
     """Dataset-level rebalancing; ``kind='none'`` returns the input as is."""
     if spec.kind == "none":
         return train
-    sampler = make_sampler(spec, seed)
+    sampler = spec.build(seed)
     X, y = sampler.fit_resample(train.features, train.labels)
     return Dataset(features=freeze(X), labels=freeze(y), feature_names=train.feature_names)

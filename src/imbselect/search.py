@@ -123,6 +123,14 @@ def enumerate_grid(cfg):
     return cells
 
 
+def usable_width(feature_names, pre_encoded, prefix):
+    """The width dims entries can reach: the ``<prefix><n>`` columns of a
+    pre-encoded grid, else every feature."""
+    if pre_encoded:
+        return len(encoded_column_names(feature_names, prefix))
+    return len(feature_names)
+
+
 def clamp_dims(cfg, width):
     """Cap dims entries at the dataset's usable width and keep the first
     entry of each resulting width; report what changed."""
@@ -351,15 +359,12 @@ def run_search(train, test, cfg, workers=1):
     started = time.perf_counter()
     checksum = dataset_checksum(test)
 
-    if cfg.pre_encoded:
-        width = len(encoded_column_names(train.feature_names, cfg.encoded_prefix))
-        if width == 0:
-            raise ValueError(
-                f"pre_encoded search needs {cfg.encoded_prefix}<n> columns; "
-                f"dataset has {train.feature_names}"
-            )
-    else:
-        width = train.n_features
+    width = usable_width(train.feature_names, cfg.pre_encoded, cfg.encoded_prefix)
+    if cfg.pre_encoded and width == 0:
+        raise ValueError(
+            f"pre_encoded search needs {cfg.encoded_prefix}<n> columns; "
+            f"dataset has {train.feature_names}"
+        )
     cfg, clamp_warnings = clamp_dims(cfg, width)
 
     pca = None

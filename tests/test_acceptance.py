@@ -106,8 +106,8 @@ def balancing_run(creditcard_split):
         dims_list=(28,),
         sampler_specs=(
             SamplerSpec("none"),
-            SamplerSpec("random_under", target_ratio=1.0),
-            SamplerSpec("instance_hardness_threshold", target_ratio=0.01),
+            SamplerSpec("random_under", {"target_ratio": 1.0}),
+            SamplerSpec("instance_hardness_threshold", {"target_ratio": 0.01}),
         ),
         classifier_specs=(ClassifierSpec("random_forest"),),
         metric_key="f1",

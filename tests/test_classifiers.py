@@ -101,7 +101,6 @@ def test_determinism_and_train_time(kind):
     b = fitted(kind, X, y, seed=11)
     Xq = np.random.default_rng(2).normal(1.0, 1.0, (40, X.shape[1]))
     assert np.array_equal(a.predict_score(Xq), b.predict_score(Xq))
-    assert a.train_time_s_ >= 0.0
     assert a.n_features_in_ == X.shape[1]
 
 
@@ -371,7 +370,9 @@ def test_registered_kind_gets_a_seed_when_its_constructor_takes_one(monkeypatch)
     register_classifier("seeded_constant", SeededConstant)
     model = make_classifier(ClassifierSpec("seeded_constant"), seed=5)
     assert model.seed == derive_seed(5, 0, "seeded_constant")
-    assert make_classifier(ClassifierSpec("seeded_constant", {"seed": 3})).seed == 3
+    # the seed is always derived: it is not an option
+    with pytest.raises(ValueError, match=r"unknown option\(s\) \['seed'\]"):
+        ClassifierSpec("seeded_constant", {"seed": 3})
     assert not hasattr(make_classifier(ClassifierSpec("dummy"), seed=5), "seed")
 
 
@@ -516,7 +517,7 @@ def test_fitted_trees_keep_no_presort_or_counts():
     tree_keys = {"max_depth", "min_samples_split", "max_features", "seed",
                  "feature_", "threshold_", "left_", "right_", "prob_"}
     tree = DecisionTreeClassifier().fit(X, y)
-    assert set(vars(tree)) == tree_keys | {"fit_flags_", "train_time_s_", "n_features_in_"}
+    assert set(vars(tree)) == tree_keys | {"fit_flags_", "n_features_in_"}
     forest = RandomForestClassifier(n_trees=3, seed=1).fit(X, y)
     assert all(set(vars(t)) == tree_keys for t in forest.trees_)
 

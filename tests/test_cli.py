@@ -12,8 +12,13 @@ from imbselect.cli import main
 from imbselect.config import load_config, validate_config
 from imbselect.fixtures import make_fixture
 from imbselect.report import LEADERBOARD_COLUMNS
+from imbselect.sampling import SAMPLER_KINDS
 
 ROOT = Path(__file__).resolve().parents[1]
+
+
+def read_rows(path, reader=csv.reader):
+    return list(reader(path.read_text(encoding="utf-8").splitlines()))
 
 
 @pytest.fixture
@@ -62,7 +67,7 @@ class TestMakeFixture:
     def test_count_arithmetic(self, tmp_path):
         path = tmp_path / "f.csv"
         make_fixture("gaussian-imbalanced", 2000, 0.02, seed=1, out_path=path)
-        rows = list(csv.DictReader(open(path, encoding="utf-8")))
+        rows = read_rows(path, csv.DictReader)
         assert len(rows) == 2000
         assert sum(int(r["Class"]) for r in rows) == 40
 
@@ -106,7 +111,7 @@ class TestMakeFixture:
     def test_balanced_ratio(self, tmp_path):
         path = tmp_path / "f.csv"
         make_fixture("gaussian-imbalanced", 100, 0.5, seed=0, out_path=path)
-        rows = list(csv.DictReader(open(path, encoding="utf-8")))
+        rows = read_rows(path, csv.DictReader)
         assert sum(int(r["Class"]) for r in rows) == 50
 
     def test_bad_arguments(self, tmp_path):
@@ -166,6 +171,14 @@ class TestValidate:
         # warnings do not block the run
         assert main(["validate", "--config", str(config)]) == 0
 
+    def test_dims_that_clamp_to_one_width_warn_dropped(self, tmp_path, fixture_csv):
+        # the fixture has 5 encoded columns: 40 and 50 both clamp to 5
+        config = write_config(tmp_path, fixture_csv, dims="3, 40, 50")
+        assert any(
+            d.startswith("warning:") and "dims=50" in d and "dropped" in d
+            for d in validate_config(config)
+        )
+
     def test_unknown_classifier(self, tmp_path, fixture_csv):
         config = write_config(tmp_path, fixture_csv, classifiers="dummy, mlp")
         assert any("unknown classifier" in d for d in validate_config(config))
@@ -187,7 +200,7 @@ class TestRun:
         assert code == 0
         out = tmp_path / "out"
         board = out / "leaderboard.csv"
-        rows = list(csv.reader(open(board, encoding="utf-8")))
+        rows = read_rows(board)
         assert tuple(rows[0]) == LEADERBOARD_COLUMNS
         # 2 dims x 2 samplers x 3 classifiers + 2 vote rows
         assert len(rows) - 1 == 14
@@ -203,7 +216,7 @@ class TestRun:
         assert len(payload["records"]) == 14
         figures = sorted(p.name for p in (out / "figures").glob("*.csv"))
         assert "f1__none.csv" in figures
-        series = list(csv.reader(open(out / "figures" / "f1__none.csv", encoding="utf-8")))
+        series = read_rows(out / "figures" / "f1__none.csv")
         assert len(series) - 1 == 2  # one row per dims entry
 
     def test_reports_follow_the_clamped_grid(self, tmp_path, fixture_csv):
@@ -211,7 +224,7 @@ class TestRun:
         config = write_config(tmp_path, fixture_csv, dims="3, 40, 50")
         assert main(["run", "--config", str(config)]) == 0
         out = tmp_path / "out"
-        rows = list(csv.reader(open(out / "leaderboard.csv", encoding="utf-8")))
+        rows = read_rows(out / "leaderboard.csv")
         assert len(rows) - 1 == 14  # 2 dims x 2 samplers x 3 classifiers + 2 votes
         keys = [(row[1], row[2], row[3]) for row in rows[1:]]
         assert len(set(keys)) == len(keys)
@@ -219,7 +232,7 @@ class TestRun:
         assert manifest["grid_size"] == 12
         assert any("dropped" in w for w in manifest["clamp_warnings"])
         for path in (out / "figures").glob("*.csv"):
-            series = list(csv.reader(open(path, encoding="utf-8")))
+            series = read_rows(path)
             assert [row[0] for row in series[1:]] == ["3", "5"]
             assert all(value != "" for row in series[1:] for value in row)
 
@@ -237,7 +250,8 @@ class TestRun:
 
     def test_dataset_error_exit_code(self, tmp_path, fixture_csv):
         config = write_config(tmp_path, fixture_csv)
-        header = open(fixture_csv, encoding="utf-8").readline()
+        with open(fixture_csv, encoding="utf-8") as handle:
+            header = handle.readline()
         fixture_csv.write_text(header, encoding="utf-8")  # header, zero rows
         assert main(["run", "--config", str(config)]) == 3
 
@@ -261,7 +275,7 @@ class TestRun:
         config.write_text(config.read_text() + extra, encoding="utf-8")
         code = main(["run", "--config", str(config)])
         assert code == 4
-        rows = list(csv.reader(open(tmp_path / "out" / "leaderboard.csv", encoding="utf-8")))
+        rows = read_rows(tmp_path / "out" / "leaderboard.csv")
         assert all(row[4] == "failed" for row in rows[1:])
 
     def test_flag_overrides(self, tmp_path, fixture_csv):
@@ -328,15 +342,29 @@ def test_repeated_header_name_is_config_error(tmp_path, fixture_csv, capsys, rep
 
 
 @pytest.mark.parametrize(
-    "kind, option", [("random_forest", "n_tree"), ("knn", "chunk_rows")]
+    "kind, option",
+    [
+        ("random_forest", "n_tree"),
+        ("knn", "chunk_rows"),
+        ("random_forest", "seed"),
+        # options that another sampler kind takes
+        ("none", "target_ratio"),
+        ("random_over", "k_neighbors"),
+        ("random_over", "with_replacement"),
+        ("smote", "iht_folds"),
+        ("smote", "seed"),
+    ],
 )
 def test_unknown_classifier_option_is_config_error(
     tmp_path, fixture_csv, capsys, kind, option
 ):
-    config = write_config(tmp_path, fixture_csv, classifiers=f"dummy, {kind}")
+    # the seed is always derived, never an option of either family
+    family = "sampler" if kind in SAMPLER_KINDS else "classifier"
+    grid = {"samplers": kind} if family == "sampler" else {"classifiers": f"dummy, {kind}"}
+    config = write_config(tmp_path, fixture_csv, **grid)
     with open(config, "a", encoding="utf-8") as handle:
-        handle.write(f"\n[classifier.{kind}]\n{option} = 1\n")
-    message = f"classifier '{kind}': unknown option(s) ['{option}']"
+        handle.write(f"\n[{family}.{kind}]\n{option} = 1\n")
+    message = f"{family} '{kind}': unknown option(s) ['{option}']"
     assert main(["validate", "--config", str(config)]) == 2
     assert f"error: {message}" in capsys.readouterr().out
     assert main(["run", "--config", str(config)]) == 2

@@ -50,8 +50,8 @@ def test_balancing_grid_path(fraudlike_split):
         dims_list=(10,),
         sampler_specs=(
             SamplerSpec("none"),
-            SamplerSpec("random_under", target_ratio=1.0),
-            SamplerSpec("instance_hardness_threshold", target_ratio=0.05),
+            SamplerSpec("random_under", {"target_ratio": 1.0}),
+            SamplerSpec("instance_hardness_threshold", {"target_ratio": 0.05}),
         ),
         classifier_specs=(ClassifierSpec("random_forest", {"n_trees": 30}),),
         metric_key="f1",

@@ -16,7 +16,6 @@ from imbselect.sampling import (
     Smote,
     _minority_neighbor_table,
     adasyn_generation_counts,
-    make_sampler,
     resample,
     smote_synthesize,
 )
@@ -53,6 +52,17 @@ def row_multiset(X):
     return sorted(map(tuple, X.tolist()))
 
 
+# every constructor argument but ``seed``, each set away from its default
+NON_DEFAULT_OPTIONS = {
+    "none": {},
+    "random_under": {"target_ratio": 0.5, "with_replacement": True},
+    "instance_hardness_threshold": {"target_ratio": 0.5, "iht_folds": 4},
+    "random_over": {"target_ratio": 0.5},
+    "smote": {"target_ratio": 0.5, "k_neighbors": 3},
+    "adasyn": {"target_ratio": 0.5, "k_neighbors": 3},
+}
+
+
 class TestSpec:
     def test_unknown_kind(self):
         with pytest.raises(ValueError, match="unknown sampler kind"):
@@ -60,13 +70,43 @@ class TestSpec:
 
     def test_ratio_bounds(self):
         with pytest.raises(ValueError, match="target_ratio"):
-            SamplerSpec("smote", target_ratio=1.5)
+            SamplerSpec("smote", {"target_ratio": 1.5})
         with pytest.raises(ValueError, match="target_ratio"):
-            SamplerSpec("smote", target_ratio=0.0)
+            SamplerSpec("smote", {"target_ratio": 0.0})
+
+    def test_constructors_check_ranges(self):
+        for cls in (RandomUnderSampler, InstanceHardnessThreshold, RandomOverSampler,
+                    Smote, Adasyn):
+            with pytest.raises(ValueError, match="target_ratio must be in"):
+                cls(target_ratio=1.5)
+        for cls in (Smote, Adasyn):
+            with pytest.raises(ValueError, match="k_neighbors must be >= 1"):
+                cls(k_neighbors=0)
+        with pytest.raises(ValueError, match="iht_folds must be >= 2"):
+            InstanceHardnessThreshold(iht_folds=1)
 
     def test_labels(self):
-        assert SamplerSpec("none").label == "none"
-        assert "k=5" in SamplerSpec("smote").label
+        # leaderboard rows carry these strings: their bytes must not drift
+        cases = [
+            ("none", {}, "none"),
+            ("random_under", {}, "random_under(ratio=1)"),
+            ("random_under", {"target_ratio": 0.5, "with_replacement": True},
+             "random_under(ratio=0.5,replacement)"),
+            ("random_under", {"with_replacement": False}, "random_under(ratio=1)"),
+            ("instance_hardness_threshold", {}, "instance_hardness_threshold(ratio=1)"),
+            ("instance_hardness_threshold", {"target_ratio": 0.2, "iht_folds": 3},
+             "instance_hardness_threshold(ratio=0.2)"),
+            ("random_over", {}, "random_over(ratio=1)"),
+            ("random_over", {"target_ratio": 0.75}, "random_over(ratio=0.75)"),
+            ("smote", {}, "smote(ratio=1,k=5)"),
+            ("smote", {"target_ratio": 0.5, "k_neighbors": 3}, "smote(ratio=0.5,k=3)"),
+            ("adasyn", {}, "adasyn(ratio=1,k=5)"),
+            ("adasyn", {"target_ratio": 1 / 3, "k_neighbors": 7},
+             "adasyn(ratio=0.333333,k=7)"),
+        ]
+        assert {kind for kind, _, _ in cases} == set(SAMPLER_KINDS)
+        for kind, options, label in cases:
+            assert SamplerSpec(kind, options).label == label
 
 
 class TestIdentity:
@@ -254,7 +294,9 @@ class TestResampleContract:
     def test_ratio_tolerance_and_determinism(self, kind):
         X, y = imbalanced_blobs(n_pos=9, n_neg=70, seed=6)
         ds = Dataset(X, y, tuple(f"f{i}" for i in range(X.shape[1])))
-        spec = SamplerSpec(kind, target_ratio=0.8, k_neighbors=3, iht_folds=3)
+        options = {"target_ratio": 0.8, "k_neighbors": 3, "iht_folds": 3}
+        known = NON_DEFAULT_OPTIONS[kind]
+        spec = SamplerSpec(kind, {k: v for k, v in options.items() if k in known})
         out = resample(spec, ds, seed=42)
         n_pos = int(out.labels.sum())
         n_neg = out.n_rows - n_pos
@@ -293,19 +335,15 @@ class TestResampleContract:
 
 @pytest.mark.parametrize("kind", SAMPLER_KINDS)
 def test_make_sampler_takes_every_argument_from_the_spec(kind):
-    spec = SamplerSpec(
-        kind, target_ratio=0.5, k_neighbors=3, with_replacement=True, iht_folds=4
-    )
-    expected = {
-        "target_ratio": 0.5,
-        "k_neighbors": 3,
-        "with_replacement": True,
-        "n_folds": 4,
-        "seed": derive_seed(9, 0, kind),
-    }
+    options = NON_DEFAULT_OPTIONS[kind]
+    seed = {} if kind == "none" else {"seed": derive_seed(9, 0, kind)}
     # an unfitted sampler's attributes are its constructor arguments
-    params = vars(make_sampler(spec, seed=9))
-    assert params == {name: expected[name] for name in params}
+    assert vars(SamplerSpec(kind, options).build(seed=9)) == {**options, **seed}
+    # another kind's option, and the always-derived seed, are not options
+    other = "k_neighbors" if kind == "instance_hardness_threshold" else "iht_folds"
+    for name in (other, "seed"):
+        with pytest.raises(ValueError, match=rf"unknown option\(s\) \['{name}'\]"):
+            SamplerSpec(kind, {name: 3})
 
 
 @st.composite

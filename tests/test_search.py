@@ -191,7 +191,7 @@ class TestEvaluateCell:
     def test_failed_cell_is_recorded_not_raised(self):
         train, test = split_fixture(fixture_dataset())
         cfg = small_config(
-            sampler_specs=(SamplerSpec("smote", k_neighbors=5000),),
+            sampler_specs=(SamplerSpec("smote", {"k_neighbors": 5000}),),
             classifier_specs=(ClassifierSpec("ridge"),),
             top_k=1,
         )
