@@ -29,6 +29,10 @@ class RandomForestClassifier(BinaryClassifier):
         probability_mode="vote",
         seed=0,
     ):
+        if n_trees < 1:
+            raise ValueError("n_trees must be >= 1")
+        if probability_mode not in ("vote", "leaf_mean"):
+            raise ValueError(f"unknown probability_mode {probability_mode!r}")
         self.n_trees = n_trees
         self.max_depth = max_depth
         self.max_features = max_features
@@ -37,10 +41,6 @@ class RandomForestClassifier(BinaryClassifier):
         self.seed = seed
 
     def _fit(self, X, y):
-        if self.n_trees < 1:
-            raise ValueError("n_trees must be >= 1")
-        if self.probability_mode not in ("vote", "leaf_mean"):
-            raise ValueError(f"unknown probability_mode {self.probability_mode!r}")
         n = X.shape[0]
         presorted = presort(X)
         counts = np.ones(n, dtype=np.int64)

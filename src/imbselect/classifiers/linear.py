@@ -74,13 +74,13 @@ class LogisticRegression(BinaryClassifier):
     supports_probability = True
 
     def __init__(self, l2=1e-4, max_epochs=500, tol=1e-8):
+        if l2 < 0 or max_epochs < 1:
+            raise ValueError("l2 must be >= 0 and max_epochs >= 1")
         self.l2 = l2
         self.max_epochs = max_epochs
         self.tol = tol
 
     def _fit(self, X, y):
-        if self.l2 < 0 or self.max_epochs < 1:
-            raise ValueError("l2 must be >= 0 and max_epochs >= 1")
         y = y.astype(np.float64)
         w = np.zeros(X.shape[1])
         b = 0.0
@@ -117,11 +117,11 @@ class RidgeClassifier(BinaryClassifier):
     """Closed-form least squares on +-1 targets, unpenalized intercept."""
 
     def __init__(self, l2=1.0):
+        if l2 < 0:
+            raise ValueError("l2 must be >= 0")
         self.l2 = l2
 
     def _fit(self, X, y):
-        if self.l2 < 0:
-            raise ValueError("l2 must be >= 0")
         targets = 2.0 * y - 1.0
         x_mean = X.mean(axis=0)
         t_mean = targets.mean()
@@ -214,13 +214,13 @@ class Perceptron(BinaryClassifier):
     """Rosenblatt updates over seeded per-epoch shuffles."""
 
     def __init__(self, epochs=50, learning_rate=1.0, seed=0):
+        if epochs < 1 or learning_rate <= 0:
+            raise ValueError("epochs must be >= 1 and learning_rate > 0")
         self.epochs = epochs
         self.learning_rate = learning_rate
         self.seed = seed
 
     def _fit(self, X, y):
-        if self.epochs < 1 or self.learning_rate <= 0:
-            raise ValueError("epochs must be >= 1 and learning_rate > 0")
         signs = 2.0 * y - 1.0
         w = np.zeros(X.shape[1])
         b = 0.0
@@ -254,14 +254,14 @@ class HingeSGD(BinaryClassifier):
     """Linear SVM objective by SGD: hinge loss with l2 shrinkage."""
 
     def __init__(self, l2=1e-4, epochs=50, eta0=0.01, seed=0):
+        if l2 <= 0 or eta0 <= 0 or epochs < 1:
+            raise ValueError("l2 and eta0 must be > 0, epochs >= 1")
         self.l2 = l2
         self.epochs = epochs
         self.eta0 = eta0
         self.seed = seed
 
     def _fit(self, X, y):
-        if self.l2 <= 0 or self.eta0 <= 0 or self.epochs < 1:
-            raise ValueError("l2 and eta0 must be > 0, epochs >= 1")
         signs = 2.0 * y - 1.0
         w = np.zeros(X.shape[1])
         b = 0.0
@@ -315,13 +315,13 @@ class PassiveAggressive(BinaryClassifier):
     """PA-I: step size tau = min(C, hinge loss / ||x||^2), bias augmented."""
 
     def __init__(self, aggressiveness=1.0, epochs=50, seed=0):
+        if aggressiveness <= 0 or epochs < 1:
+            raise ValueError("aggressiveness must be > 0 and epochs >= 1")
         self.aggressiveness = aggressiveness
         self.epochs = epochs
         self.seed = seed
 
     def _fit(self, X, y):
-        if self.aggressiveness <= 0 or self.epochs < 1:
-            raise ValueError("aggressiveness must be > 0 and epochs >= 1")
         signs = 2.0 * y - 1.0
         w = np.zeros(X.shape[1])
         b = 0.0

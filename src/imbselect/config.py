@@ -8,9 +8,10 @@ those three sections do not read, is an error: a misspelt name would
 otherwise fall back to its default without a word.
 
 An override section's keys are constructor arguments of that kind, checked
-when its spec is made. Diagnostics come in two severities: errors block a
-run, warnings do not (dims beyond the dataset width are clamped at run
-time, an even top_k only breaks the hard-voting row).
+when its spec is made, whether or not the grid lists that kind. Diagnostics
+come in two severities: errors block a run, warnings do not (dims beyond the
+dataset width are clamped at run time, an even top_k only breaks the
+hard-voting row).
 """
 
 import configparser
@@ -182,6 +183,26 @@ def _read(path, overrides):
         errors.append("grid.cv_folds must be >= 2")
         cv_folds = 5
 
+    made = {}  # (family, kind) -> its spec, or None when making it failed
+
+    def spec_of(family, kind):
+        if (family, kind) not in made:
+            params = _section_params(parser, f"{family}.{kind}")
+            if kind == "instance_hardness_threshold":
+                params = {"iht_folds": cv_folds, **params}
+            try:
+                made[family, kind] = SPEC_FAMILIES[family](kind, params)
+            except (ValueError, TypeError) as exc:
+                errors.append(f"{family} {kind!r}: {exc}")
+                made[family, kind] = None
+        return made[family, kind]
+
+    # every override section is checked, listed in the grid or not, so a bad
+    # key does not wait until its kind is added
+    for section in parser.sections():
+        family, _, kind = section.partition(".")
+        if family in SPEC_FAMILIES and kind in SPEC_FAMILIES[family].registry:
+            spec_of(family, kind)
     specs = {}
     for family, spec_cls in SPEC_FAMILIES.items():
         is_sampler = family == "sampler"
@@ -197,13 +218,9 @@ def _read(path, overrides):
                     f"unknown {family} {raw!r}; known: {sorted(spec_cls.registry)}"
                 )
                 continue
-            params = _section_params(parser, f"{family}.{kind}")
-            if kind == "instance_hardness_threshold":
-                params = {"iht_folds": cv_folds, **params}
-            try:
-                specs[family].append(spec_cls(kind, params))
-            except (ValueError, TypeError) as exc:
-                errors.append(f"{family} {kind!r}: {exc}")
+            spec = spec_of(family, kind)
+            if spec is not None:
+                specs[family].append(spec)
     sampler_specs, classifier_specs = specs["sampler"], specs["classifier"]
     # repeated entries would give leaderboard rows that cannot be told apart
     for option, labels in (

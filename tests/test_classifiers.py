@@ -350,6 +350,25 @@ def test_spec_rejects_unknown_option():
         ClassifierSpec("random_forest", {"n_tree": 10})
 
 
+@pytest.mark.parametrize(
+    "cls, params, message",
+    [
+        (KNeighborsClassifier, {"k": 0}, "k must be >= 1"),
+        (RandomForestClassifier, {"n_trees": 0}, "n_trees must be >= 1"),
+        (RandomForestClassifier, {"probability_mode": "mean"}, "unknown probability_mode"),
+        (LogisticRegression, {"max_epochs": 0}, "max_epochs >= 1"),
+        (RidgeClassifier, {"l2": -1.0}, "l2 must be >= 0"),
+        (Perceptron, {"learning_rate": 0.0}, "learning_rate > 0"),
+        (HingeSGD, {"eta0": 0.0}, "eta0 must be > 0"),
+        (PassiveAggressive, {"epochs": 0}, "epochs >= 1"),
+    ],
+)
+def test_constructors_check_ranges(cls, params, message):
+    # checked before any fit, so making a spec rejects the value
+    with pytest.raises(ValueError, match=message):
+        cls(**params)
+
+
 def test_spec_label_includes_params():
     assert ClassifierSpec("knn").label == "knn"
     assert ClassifierSpec("knn", {"k": 3}).label == "knn(k=3)"

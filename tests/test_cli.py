@@ -407,6 +407,44 @@ def test_misspelt_key_or_section_is_config_error(
     assert not (tmp_path / "out").exists()
 
 
+@pytest.mark.parametrize(
+    "grid, text, message",
+    [
+        # override sections of kinds the grid does not list
+        ({}, "[sampler.smote]\nk_neigbors = 0", "unknown option(s) ['k_neigbors']"),
+        ({}, "[sampler.smote]\ntarget_ratio = 7", "target_ratio must be in (0, 1]"),
+        ({}, "[classifier.knn]\nkk = 2", "unknown option(s) ['kk']"),
+        # classifier constructors check their own ranges
+        ({"classifiers": "dummy, knn"}, "[classifier.knn]\nk = 0", "k must be >= 1"),
+        (
+            {"classifiers": "random_forest"},
+            "[classifier.random_forest]\nn_trees = 0",
+            "n_trees must be >= 1",
+        ),
+        (
+            {"classifiers": "sgd_hinge"},
+            "[classifier.sgd_hinge]\neta0 = 0",
+            "l2 and eta0 must be > 0, epochs >= 1",
+        ),
+    ],
+    ids=["smote-k_neigbors", "smote-target_ratio", "knn-kk", "knn-k", "forest-n_trees",
+         "sgd_hinge-eta0"],
+)
+def test_bad_override_section_is_config_error(
+    tmp_path, fixture_csv, capsys, grid, text, message
+):
+    config = write_config(tmp_path, fixture_csv, **grid)
+    with open(config, "a", encoding="utf-8") as handle:
+        handle.write(f"\n{text}\n")
+    family, kind = text[1 : text.index("]")].split(".")
+    message = f"{family} '{kind}': {message}"
+    assert main(["validate", "--config", str(config)]) == 2
+    assert f"error: {message}" in capsys.readouterr().out
+    assert main(["run", "--config", str(config)]) == 2
+    assert message in capsys.readouterr().err
+    assert not (tmp_path / "out").exists()
+
+
 def test_override_section_of_a_known_kind_outside_the_grid_is_accepted(
     tmp_path, fixture_csv
 ):

@@ -13,7 +13,8 @@ from imbselect.classifiers.neighbors import KNeighborsClassifier
 from imbselect.sampling import Adasyn
 
 DIMS = (1, 2, 3, 4, 5, 6, 8, 16, 28, 33)
-SELECT_ROWS = (1, 3, 32, 10**9)
+# 1 samples every column; 128 is the shipped stride
+SAMPLE_STRIDES = (1, 2, 3, 7, 64, 128)
 
 
 def reference_knn_score(model, X, chunk_rows=256):
@@ -59,20 +60,20 @@ def reference_hardness(X, y, pos_idx, k):
 
 
 @st.composite
-def train_sets(draw, min_rows=2, max_rows=40):
+def train_sets(draw):
     """Rows that are often tied at the k-th distance: values rounded to a
-    few levels, rows repeated the way random_over appends copies."""
+    few levels, rows repeated the way random_over appends copies. 2-40 rows,
+    or 200-3,000 so that a strided sample holds many columns."""
     rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
     d = draw(st.sampled_from(DIMS))
+    min_rows, max_rows = draw(st.sampled_from(((2, 40), (200, 3000))))
     n_base = draw(st.integers(1, max_rows))
     decimals = draw(st.sampled_from((0, 1, None)))
     X = rng.normal(0.0, 2.0, (n_base, d))
     if decimals is not None:
         X = np.round(X, decimals)
-    n_copies = draw(st.integers(0, max_rows - n_base))
+    n_copies = draw(st.integers(max(0, min_rows - n_base), max_rows - n_base))
     X = np.vstack([X, X[rng.integers(0, n_base, n_copies)]])
-    if X.shape[0] < min_rows:
-        X = np.vstack([X, X])
     if draw(st.booleans()):
         X = X[rng.permutation(X.shape[0])]
     y = rng.integers(0, 2, X.shape[0])
@@ -80,25 +81,34 @@ def train_sets(draw, min_rows=2, max_rows=40):
     return rng, decimals, np.ascontiguousarray(X), y
 
 
+def pick_k(n, small_k, k_offset, from_end):
+    """``small_k``, or ``n + k_offset`` (at least 1) when counting back from n."""
+    return max(1, n + k_offset) if from_end else small_k
+
+
 @settings(max_examples=300, deadline=None)
 @given(
     data=train_sets(),
+    small_k=st.integers(1, 40),
     k_offset=st.integers(-40, 3),
+    from_end=st.booleans(),
     n_test=st.sampled_from((1, 2, 7, 257, 258, 513)),
     copied=st.floats(0.0, 1.0),
-    select_rows=st.sampled_from(SELECT_ROWS),
+    sample_stride=st.sampled_from(SAMPLE_STRIDES),
 )
-def test_knn_scores_equal_reference(data, k_offset, n_test, copied, select_rows):
+def test_knn_scores_equal_reference(
+    data, small_k, k_offset, from_end, n_test, copied, sample_stride
+):
     rng, decimals, X, y = data
     n = X.shape[0]
-    k = max(1, n + k_offset)  # 1 .. n-1, and n .. n+3
+    k = pick_k(n, small_k, k_offset, from_end)  # a k above n is clamped to n
     Xq = rng.normal(0.0, 2.0, (n_test, X.shape[1]))
     if decimals is not None:
         Xq = np.round(Xq, decimals)
     copies = rng.random(n_test) < copied
     Xq[copies] = X[rng.integers(0, n, copies.sum())]
     model = KNeighborsClassifier(k=k).fit(X, y)
-    with mock.patch.object(neighbors, "SELECT_ROWS", select_rows):
+    with mock.patch.object(neighbors, "SAMPLE_STRIDE", sample_stride):
         got = model.predict_score(Xq)
     assert got.tobytes() == reference_knn_score(model, Xq).tobytes()
 
@@ -106,18 +116,22 @@ def test_knn_scores_equal_reference(data, k_offset, n_test, copied, select_rows)
 @settings(max_examples=300, deadline=None)
 @given(
     data=train_sets(),
+    small_k=st.integers(1, 40),
     k_offset=st.integers(-40, -1),
+    from_end=st.booleans(),
     n_pos=st.integers(1, 40),
-    select_rows=st.sampled_from(SELECT_ROWS),
+    sample_stride=st.sampled_from(SAMPLE_STRIDES),
 )
-def test_adasyn_hardness_equals_reference(data, k_offset, n_pos, select_rows):
+def test_adasyn_hardness_equals_reference(
+    data, small_k, k_offset, from_end, n_pos, sample_stride
+):
     rng, _, X, _ = data
     n = X.shape[0]
-    k = max(1, n + k_offset)  # 1 .. n-1
+    k = min(pick_k(n, small_k, k_offset, from_end), n - 1)  # 1 .. n-1
     pos_idx = np.sort(rng.choice(n, min(n_pos, n), replace=False))
     y = np.zeros(n, dtype=np.int64)
     y[pos_idx] = 1
-    with mock.patch.object(neighbors, "SELECT_ROWS", select_rows):
+    with mock.patch.object(neighbors, "SAMPLE_STRIDE", sample_stride):
         got = Adasyn(k_neighbors=k)._hardness(X, y, pos_idx)
     assert got.tobytes() == reference_hardness(X, y, pos_idx, k).tobytes()
 
@@ -141,7 +155,7 @@ def test_knn_score_holds_one_chunk_buffer():
     Xq = rng.normal(size=(600, 8))  # three chunks
     scores, peak = traced_peak(model.predict_score, Xq)
     assert scores.shape == (600,)
-    assert peak <= 1.5 * neighbors.CHUNK_ROWS * n_train * 8
+    assert peak <= 1.1 * neighbors.CHUNK_ROWS * n_train * 8
 
 
 def test_adasyn_hardness_holds_one_distance_matrix():
@@ -153,4 +167,4 @@ def test_adasyn_hardness_holds_one_distance_matrix():
     y[pos_idx] = 1
     hardness, peak = traced_peak(Adasyn(k_neighbors=5)._hardness, X, y, pos_idx)
     assert hardness.shape == (n_pos,)
-    assert peak <= 1.5 * n_pos * n * 8
+    assert peak <= 1.1 * n_pos * n * 8
