@@ -1,15 +1,17 @@
 """Exact brute-force k-nearest-neighbour voting.
 
-Test rows are scored in chunks of ``CHUNK_ROWS``. Each chunk's squared
-distances to the full training set are built in place in its matmul
-result, so one chunk × train float buffer is alive at a time, and it is
-dropped before the next chunk's is made. ``positive_counts`` screens each
-row of that buffer with a strided column sample and selects the k nearest
-among the few columns that pass, so it copies only the sample and the
-survivors, never a chunk-sized array; equal distances resolve to the lower
-training-row index, making the neighbour set fully deterministic. It reads
-the distances as built and only compares them, so the screen cannot change
-a score. ADASYN's hardness uses the same two functions.
+Test rows are scored in chunks of ``CHUNK_ROWS``. One chunk × train float
+buffer is made per score and reused: each chunk's squared distances to the
+full training set are built in place in it, starting from the matmul
+written into it, so no chunk allocates a buffer of its own (a fresh one
+per chunk left freed heap behind in long-lived workers).
+``positive_counts`` screens each row of that buffer with a strided column
+sample and selects the k nearest among the few columns that pass, so it
+copies only the sample and the survivors, never a chunk-sized array; equal
+distances resolve to the lower training-row index, making the neighbour
+set fully deterministic. It reads the distances as built and only compares
+them, so the screen cannot change a score. ADASYN's hardness uses the same
+two functions.
 """
 
 import numpy as np
@@ -27,11 +29,11 @@ CHUNK_ROWS = 256
 SAMPLE_STRIDE = 128
 
 
-def squared_distances(Q, X, x_sq):
+def squared_distances(Q, X, x_sq, out=None):
     """``|q|² - 2 q·x + |x|²`` for every row pair of Q and X, built in the
-    matmul result; the same operations in the same order as the plain
-    expression, so the bits are the same."""
-    d2 = Q @ X.T
+    matmul result (``out`` when given); the same operations in the same
+    order as the plain expression, so the bits are the same."""
+    d2 = np.matmul(Q, X.T, out=out)
     d2 *= 2.0
     np.subtract((Q * Q).sum(axis=1)[:, None], d2, out=d2)
     d2 += x_sq
@@ -83,10 +85,9 @@ class KNeighborsClassifier(BinaryClassifier):
         k = min(self.k, self._train_X.shape[0])
         positive = self._train_y == 1
         out = np.empty(X.shape[0])
+        buffer = np.empty((min(CHUNK_ROWS, X.shape[0]), self._train_X.shape[0]))
         for start in range(0, X.shape[0], CHUNK_ROWS):
-            d2 = squared_distances(
-                X[start : start + CHUNK_ROWS], self._train_X, self._train_sq
-            )
-            out[start : start + len(d2)] = positive_counts(d2, positive, k) / k
-            del d2  # before the next chunk's buffer is made
+            chunk = X[start : start + CHUNK_ROWS]
+            d2 = squared_distances(chunk, self._train_X, self._train_sq, out=buffer[: len(chunk)])
+            out[start : start + len(chunk)] = positive_counts(d2, positive, k) / k
         return out

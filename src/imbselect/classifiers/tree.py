@@ -195,7 +195,9 @@ class DecisionTreeClassifier(BinaryClassifier):
                 split = search(*node, feats)
                 if split is None and feats.size < p:
                     # sampled features were constant here: look at the rest
-                    split = search(*node, np.setdiff1d(np.arange(p), feats))
+                    rest = np.ones(p, dtype=bool)
+                    rest[feats] = False
+                    split = search(*node, np.flatnonzero(rest))
             if split is None:
                 feature[nid] = _LEAF
                 prob[nid] = n_pos / n

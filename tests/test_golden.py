@@ -6,7 +6,9 @@ the ``V<n>`` slice and the PCA path, the samplers ``none``,
 instance-hardness threshold and SMOTE, and the tree, forest and k-NN
 classifiers. The second covers every sampler kind and every classifier
 that takes a seed, with each sampler option set away from its default,
-so that a change to how specs become estimators and seeds shows here. A
+so that a change to how specs become estimators and seeds shows here. The
+third covers both AdaBoost flavours at the fixture's default separation,
+where oversampled positives pack into long runs of the stump search. A
 change that is meant to move the bytes re-pins here and says so in
 CHANGES.md.
 """
@@ -23,13 +25,14 @@ GOLDEN_SHA256 = {
     "pca": "448bdad18471dee18a586477f6516de71afd8b5e1e805196777ed2aa6de370d0",
 }
 EVERY_SEEDED_KIND_SHA256 = "5c4c350aed6e42b26ffc70528e9a6248368cc317813fd554eea73dca9c910900"
+ADABOOST_SHA256 = "7edd9d5e1ca3605999dc6b3be95c8bbc0de01c21f75f85586435c6d1fbdcd5a5"
 
 
-def _leaderboard_sha256(tmp_path, pre_encoded, grid, sections):
+def _leaderboard_sha256(tmp_path, pre_encoded, grid, sections, separation=1.5):
     data = tmp_path / "golden.csv"
     make_fixture(
         "gaussian-imbalanced", 600, 0.05, seed=5, out_path=data,
-        n_features=6, separation=1.5,
+        n_features=6, separation=separation,
     )
     config = tmp_path / "golden.ini"
     config.write_text(
@@ -108,3 +111,16 @@ k_neighbors = 4
 n_trees = 10""",
     )
     assert digest == EVERY_SEEDED_KIND_SHA256
+
+
+def test_adaboost_is_pinned(tmp_path):
+    digest = _leaderboard_sha256(
+        tmp_path,
+        pre_encoded=True,
+        grid="""dims = 2, 6
+samplers = none, random_over, smote
+classifiers = adaboost_real, adaboost_discrete""",
+        sections="",
+        separation=2.5,
+    )
+    assert digest == ADABOOST_SHA256
