@@ -13,15 +13,20 @@ positive rows on their left. A round takes each feature's running sums
 of the weights in sorted order: over every row (the real variant), over
 the positive rows, and over the negative rows (the discrete variant). The
 first is the full scan's own sum; at every cut the class sums equal the
-full scan's, whose other terms add 0.0, bit for bit. A round evaluates the Gini or the two errors at
+full scan's, whose other terms add 0.0, bit for bit.
+
+Where positives are rare, a round evaluates the Gini or the two errors at
 the ends of the runs only, many features in one vectorised pass. Along a
 run the positive weight on the left is fixed, so both errors are monotone
 in the cut, and the weighted Gini, 2P - 2P²/W on each side, is concave in
 the left weight W: the best cut of a run is one of its ends (the
 boundary-point result of Fayyad & Irani, 1992). A run is evaluated at every
 cut wherever its interior could tie its feature's best end or come within
-rounding slack of it, so each round picks the stump a full scan picks, with
-the same bits.
+rounding slack of it. Where positives are spread all along a feature (an
+oversampled training set), its runs are a cut or two long and their ends
+cost more than the cuts, so the feature is scanned at every cut, one
+feature at a time. Either way each round picks the stump a full scan
+picks, with the same bits.
 """
 
 from functools import cached_property
@@ -45,6 +50,12 @@ _PROB_CLIP = 1e-7
 # Underflow adds at most 2**-1075 per product or quotient, which the tiny
 # term covers. 2**-46 is 128u, nearly three times that bound.
 _GINI_SLACK = 2.0 ** -46
+# A feature with more runs per cut than this is scanned at every cut. In
+# 50-round fits at 4,800 x 8 with 1-50% positives, with and without
+# duplicated positive rows, the two searches broke even near 0.1 runs per
+# cut for the real variant and near 0.3 for the discrete one, whose run ends
+# are cheaper; the discrete fits between lose at most ~15% to their runs.
+_SCAN_RUNS_PER_CUT = 0.1
 
 
 class _Stump:
@@ -78,14 +89,19 @@ def _gini(w_left, pos_left, total_w, total_pos):
     return gini, frac_l, frac_r, w_right
 
 
-def _running_sums(w, rows, features):
-    """(features, rows + 1) table: [f, j] sums w over the first j of rows[f],
-    in that order. Rows of features without cuts are left unset."""
+def _sum_table(rows):
+    """A (features, rows + 1) running-sum table for ``rows``, its rows unset
+    but for their leading 0.0."""
     sums = np.empty((rows.shape[0], rows.shape[1] + 1))
     sums[:, 0] = 0.0
+    return sums
+
+
+def _fill_sums(sums, w, rows, features):
+    """Set sums[f, j] to w summed over the first j of rows[f], in that order,
+    for each f in features."""
     for f in features:
         np.cumsum(w.take(rows[f]), out=sums[f, 1:])
-    return sums
 
 
 def _compact(indices, bound):
@@ -138,9 +154,11 @@ class _Chord:
 
 
 class _Group(NamedTuple):
-    """The runs of consecutive features, for one vectorised pass: their
-    slice of the runs, and each feature's first run and run count in it."""
+    """The runs of consecutive features, for one vectorised pass: the
+    features, their slice of the runs, and each feature's first run and run
+    count in it."""
 
+    features: list
     runs: slice
     offsets: np.ndarray
     counts: np.ndarray
@@ -156,7 +174,10 @@ class _SortedFeatures:
     stored feature by feature by their first and last cuts; no positive row
     lies inside a run. A round works through the features in groups of
     about n runs, which keeps its scratch arrays as small as one feature's
-    full scan.
+    full scan. A feature with more than ``_SCAN_RUNS_PER_CUT`` runs per cut
+    has no runs and is scanned instead: ``scans`` holds, per such feature,
+    its cuts' columns j and the columns k of their positive weights. Its
+    running sums go to one scratch row per round, not to the tables.
     """
 
     def __init__(self, X, y):
@@ -166,44 +187,66 @@ class _SortedFeatures:
         self.width = n + 1
         self.order = np.argsort(X.T, axis=1, kind="stable")
         sorted_positive = self.is_positive[self.order]
-        self.positive = self._rows(self.is_positive)
+        self.positive = self._rows(sorted_positive)
         pos_width = self.positive.shape[1] + 1
         self.is_cut = np.zeros((p, self.width), dtype=bool)
-        runs = []
+        counts = np.zeros(p, dtype=np.intp)
+        runs, self.scans = [(np.empty(0, dtype=np.int32),) * 3], []
         for f in range(p):
             xs = X[self.order[f], f]
             np.greater(xs[1:], xs[:-1], out=self.is_cut[f, 1:n])
             cuts = np.flatnonzero(self.is_cut[f])
-            positions = np.flatnonzero(sorted_positive[f])
-            # a run starts at the first cut and at the first cut right of each positive
-            starts = np.concatenate(([0], np.searchsorted(cuts, positions, side="right")))
-            starts = starts[np.concatenate(([True], starts[1:] != starts[:-1]))]
-            starts = starts[starts < cuts.size]
-            stops = np.append(starts[1:], cuts.size)[: starts.size] - 1
+            if cuts.size == 0:
+                continue
+            # the positive rows left of each cut; a run starts where that rises
+            left = np.cumsum(sorted_positive[f])[cuts - 1]
+            starts = np.flatnonzero(left[1:] != left[:-1]) + 1
+            if starts.size + 1 > _SCAN_RUNS_PER_CUT * cuts.size:
+                self.scans.append((f, _compact(cuts, self.width), _compact(left, self.width)))
+                continue
+            starts = np.concatenate(([0], starts))
+            stops = np.append(starts[1:], cuts.size) - 1
+            counts[f] = starts.size
             runs.append(tuple(_compact(part, p * self.width) for part in (
                 f * self.width + cuts[starts],
                 f * self.width + cuts[stops],
-                f * pos_width + np.searchsorted(positions, cuts[starts]),
+                f * pos_width + left[starts],
             )))
-        counts = np.array([part[0].size for part in runs])
         self.first_at, self.last_at, self.pos_at = (np.concatenate(part) for part in zip(*runs))
         del runs
-        self.features = np.flatnonzero(counts).tolist()
         self.groups, members, run = [], [], 0
-        for f in self.features + [None]:
+        for f in np.flatnonzero(counts).tolist() + [None]:
             if members and (f is None or counts[members].sum() + counts[f] > n):
                 size = counts[members]
-                self.groups.append(_Group(slice(run, run + size.sum()), np.cumsum(size) - size, size))
+                self.groups.append(
+                    _Group(members, slice(run, run + size.sum()), np.cumsum(size) - size, size)
+                )
                 run, members = run + size.sum(), []
             members.append(f)
 
     @cached_property
     def negative(self):
-        return self._rows(~self.is_positive)
+        return self._rows(~self.is_positive[self.order])
 
-    def _rows(self, selected):
-        """Per feature, the ``selected`` rows in sorted order."""
-        rows = self.order[selected[self.order]].reshape(len(self.order), -1)
+    # one running-sum table per fit for each of order, positive and negative
+    # (a fresh one each round costs its page faults again); a round refills
+    # the rows it reads
+
+    @cached_property
+    def sums(self):
+        return _sum_table(self.order)
+
+    @cached_property
+    def pos_sums(self):
+        return _sum_table(self.positive)
+
+    @cached_property
+    def neg_sums(self):
+        return _sum_table(self.negative)
+
+    def _rows(self, sorted_selected):
+        """Per feature, the rows in sorted order where ``sorted_selected``."""
+        rows = self.order[sorted_selected].reshape(len(self.order), -1)
         return _compact(rows, self.width)
 
     def _ends(self, group):
@@ -226,30 +269,45 @@ class _SortedFeatures:
         f, j = divmod(at, self.width)
         return f, midpoint(self.X[self.order[f, j - 1 : j + 1], f], 0)
 
+    def _scanned(self, w, *rows):
+        """Each scanned feature f with its cuts' columns j, the columns k of
+        their positive weights, and a row of running sums of w over each of
+        ``rows`` for f, in scratch that the next feature overwrites."""
+        scratch = [np.zeros(part.shape[1] + 1) for part in rows]
+        for f, j, k in self.scans:
+            for sums, part in zip(scratch, rows):
+                np.cumsum(w.take(part[f]), out=sums[1:])
+            yield f, j, k, *scratch
+
     def gini_stump(self, w):
         """Stump minimizing weighted child Gini; leaves carry P(y=1). None
         when every feature is constant."""
         total_w = float(w.sum())
         total_pos = float(w[self.is_positive].sum())
-        sums = _running_sums(w, self.order, self.features)
-        pos_sums = _running_sums(w, self.positive, self.features)
-        best_score, best = np.inf, None
+        found = {}
         for group in self.groups:
-            for score, at, pos_at in zip(*self._gini_group(group, sums, pos_sums, total_w, total_pos)):
-                if score < best_score - 1e-15:
-                    best_score, best = score, (at, pos_at)
+            _fill_sums(self.sums, w, self.order, group.features)
+            _fill_sums(self.pos_sums, w, self.positive, group.features)
+            found.update(zip(group.features, zip(*self._gini_group(group, total_w, total_pos))))
+        for f, j, k, sums, pos_sums in self._scanned(w, self.order, self.positive):
+            gini, left, right, _ = _gini(sums.take(j), pos_sums.take(k), total_w, total_pos)
+            i = int(np.argmin(gini))
+            found[f] = (gini[i], f * self.width + int(j[i]), left[i], right[i])
+        # features in order, so that ties go to the lowest as in a full scan
+        best_score, best = np.inf, None
+        for f in sorted(found):
+            score, *stump = found[f]
+            if score < best_score - 1e-15:
+                best_score, best = score, stump
         if best is None:
             return None
-        at, pos_at = best
-        f, threshold = self._threshold(at)
-        _, left, right, _ = _gini(
-            sums.ravel()[at : at + 1], pos_sums.ravel()[pos_at : pos_at + 1], total_w, total_pos
-        )
-        return _Stump(f, threshold, float(left[0]), float(right[0]))
+        at, left, right = best
+        return _Stump(*self._threshold(at), float(left), float(right))
 
-    def _gini_group(self, group, sums, pos_sums, total_w, total_pos):
+    def _gini_group(self, group, total_w, total_pos):
         """Per feature of a group: the least Gini, the table index of the
-        first cut reaching it and that of the cut's positive weight."""
+        first cut reaching it, and that cut's left and right P(y=1)."""
+        sums, pos_sums = self.sums, self.pos_sums
         first_at, last_at, pos_at = self._ends(group)
         n_runs = pos_at.size
         pos_left = np.take(pos_sums, pos_at)
@@ -280,7 +338,8 @@ class _SortedFeatures:
                 )
         best = np.minimum.reduceat(value, group.offsets)
         run = _first_hits(value, best, group.offsets, group.counts)
-        return best.tolist(), at[run].tolist(), pos_at[run].tolist()
+        _, left, right, _ = _gini(np.take(sums, at[run]), pos_left[run], total_w, total_pos)
+        return best.tolist(), at[run].tolist(), left.tolist(), right.tolist()
 
     def _near_minima(self, first_at, last_at, pos_left, straddle, floor, sums, total_w, total_pos):
         """Least Gini and its first cut in each of the given runs, evaluated
@@ -311,7 +370,7 @@ class _SortedFeatures:
         reach = steps[np.argmax(out, axis=1)] - 1
         rising = chord.rising
         # evaluate each piece's ends and the stretch next to its lower end
-        ranges_lo = np.concatenate([lo, np.where(rising, lo, np.maximum(hi - reach, lo))])
+        ranges_lo = np.concatenate([lo, np.where(rising, hi, np.maximum(hi - reach, lo))])
         ranges_hi = np.concatenate([np.where(rising, np.minimum(lo + reach, hi), lo), hi])
         order = np.lexsort((ranges_lo, np.tile(run, 2)))
         cut_at, piece = self._run_cuts(ranges_lo[order], ranges_hi[order])
@@ -330,23 +389,35 @@ class _SortedFeatures:
             best = (total_neg, None, 1.0, 1.0)
         else:
             best = (total_pos, None, 0.0, 0.0)
-        if self.groups:
-            pos_sums = _running_sums(w, self.positive, self.features)
-            neg_sums = _running_sums(w, self.negative, self.features)
-            for group in self.groups:
-                found = self._error_group(group, pos_sums, neg_sums, total_pos, total_neg)
-                for rp_err, rp_at, lp_err, lp_at in zip(*found):
-                    for err, at, lv, rv in ((rp_err, rp_at, 0.0, 1.0), (lp_err, lp_at, 1.0, 0.0)):
-                        if err < best[0] - 1e-15:
-                            best = (err, at, lv, rv)
+        found = {}
+        for group in self.groups:
+            _fill_sums(self.pos_sums, w, self.positive, group.features)
+            _fill_sums(self.neg_sums, w, self.negative, group.features)
+            found.update(zip(group.features, zip(*self._error_group(group, total_pos, total_neg))))
+        for f, j, k, pos_sums, neg_sums in self._scanned(w, self.positive, self.negative):
+            pos_left = pos_sums.take(k)
+            neg_left = neg_sums.take(j - k)
+            rp = pos_left + (total_neg - neg_left)
+            lp = neg_left + (total_pos - pos_left)
+            i_rp, i_lp = int(np.argmin(rp)), int(np.argmin(lp))
+            found[f] = (
+                float(rp[i_rp]), f * self.width + int(j[i_rp]),
+                float(lp[i_lp]), f * self.width + int(j[i_lp]),
+            )
+        for f in sorted(found):
+            rp_err, rp_at, lp_err, lp_at = found[f]
+            for err, at, lv, rv in ((rp_err, rp_at, 0.0, 1.0), (lp_err, lp_at, 1.0, 0.0)):
+                if err < best[0] - 1e-15:
+                    best = (err, at, lv, rv)
         err, at, lv, rv = best
         f, threshold = (-1, 0.0) if at is None else self._threshold(at)
         return err, _Stump(f, threshold, lv, rv)
 
-    def _error_group(self, group, pos_sums, neg_sums, total_pos, total_neg):
+    def _error_group(self, group, total_pos, total_neg):
         """Per feature of a group, for left->0 right->1 and then for
         left->1 right->0: the least error and the table index of the first
         cut reaching it."""
+        pos_sums, neg_sums = self.pos_sums, self.neg_sums
         first_at, last_at, pos_at = self._ends(group)
         pos_left = np.take(pos_sums, pos_at)
         # a cut's negatives on the left sit at its table index plus this

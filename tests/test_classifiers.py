@@ -788,15 +788,29 @@ def stump_cases(draw):
     )
 
 
+# features searched by run ends only, as the runs per cut pick, or cut by cut
+SCAN_RUNS_PER_CUT = pytest.mark.parametrize(
+    "scan_runs_per_cut",
+    [np.inf, boosting_module._SCAN_RUNS_PER_CUT, 0.0],
+    ids=["runs", "chosen", "scans"],
+)
+
+
+@SCAN_RUNS_PER_CUT
 @settings(max_examples=300, deadline=None)
 @given(case=stump_cases())
 # two cases where rounding puts a cut's Gini at or below the computed chord
 # bound of its run: without the slack the screen would skip them
 @example(case=stump_case(1899361569, 7, 2, None, 0.03, "uniform", 0.2, True))
 @example(case=stump_case(3542336821, 25, 1, 1, 0.13, "power", 0.6, True))
-def test_stump_search_matches_full_scan(case):
+# two where the least Gini is a rounding step inside a run that rises from
+# its first cut: only widening the stretch next to that end finds it
+@example(case=stump_case(3582073955, 105, 1, 1, 0.033, "power", 0.0, False))
+@example(case=stump_case(1296288366, 229, 1, 2, 0.013, "power", 0.0, False))
+def test_stump_search_matches_full_scan(case, scan_runs_per_cut):
     X, y, w = case
-    sorted_features = boosting_module._SortedFeatures(X, y)
+    with mock.patch.object(boosting_module, "_SCAN_RUNS_PER_CUT", scan_runs_per_cut):
+        sorted_features = boosting_module._SortedFeatures(X, y)
     gini = sorted_features.gini_stump(w)
     assert_same_stump(None if gini is None else stump_tuple(gini), reference_gini_stump(X, y, w))
     err, stump = sorted_features.error_stump(w)
@@ -813,9 +827,30 @@ def test_chord_bound_reaching_the_floor_exactly_counts():
     X = np.array([[-0.9], [-0.8], [0.1], [1.1]])
     y = np.array([1, 0, 0, 1])
     w = np.array([0.3, 0.3, 0.0, 0.4])
-    with mock.patch.object(boosting_module, "_GINI_SLACK", 0.0):
+    with mock.patch.multiple(boosting_module, _GINI_SLACK=0.0, _SCAN_RUNS_PER_CUT=np.inf):
         stump = boosting_module._SortedFeatures(X, y).gini_stump(w)
     assert_same_stump(stump_tuple(stump), reference_gini_stump(X, y, w))
+
+
+def test_ties_between_scanned_and_run_features_go_to_the_lowest():
+    # feature 0 has zero-weight positives spread along it (scanned), feature
+    # 1 has them tied at its top (one run); both split the one weighted
+    # positive off exactly, so both stumps tie at Gini 0 and error 0
+    rng = np.random.default_rng(5)
+    y = np.array([1] * 9 + [0] * 31)
+    w = np.where(np.arange(40) == 0, 0.25, 0.0) + (y == 0) * 0.75 / 31
+    X = np.empty((40, 2))
+    X[:, 0] = np.concatenate([[-1.0], rng.permutation(39)])
+    X[:, 1] = np.concatenate([[-1.0], np.full(8, 99.0), np.arange(31)])
+    sorted_features = boosting_module._SortedFeatures(X, y)
+    assert [f for f, _, _ in sorted_features.scans] == [0]
+    assert [group.features for group in sorted_features.groups] == [[1]]
+    stump = sorted_features.gini_stump(w)
+    assert stump.feature == 0
+    assert_same_stump(stump_tuple(stump), reference_gini_stump(X, y, w))
+    err, stump = sorted_features.error_stump(w)
+    assert (err, stump.feature) == (0.0, 0)
+    assert_same_stump(stump_tuple(stump), reference_error_stump(X, y, w)[1:])
 
 
 def reference_search(method):
@@ -830,12 +865,14 @@ def reference_search(method):
     return search
 
 
+@SCAN_RUNS_PER_CUT
 @settings(max_examples=40, deadline=None)
 @given(case=stump_cases(), n_rounds=st.integers(1, 30))
-def test_adaboost_fits_match_full_scan_fits(case, n_rounds):
+def test_adaboost_fits_match_full_scan_fits(case, n_rounds, scan_runs_per_cut):
     X, y, _ = case
     for cls, method in ((RealAdaBoost, "gini_stump"), (DiscreteAdaBoost, "error_stump")):
-        model = cls(n_rounds=n_rounds).fit(X, y)
+        with mock.patch.object(boosting_module, "_SCAN_RUNS_PER_CUT", scan_runs_per_cut):
+            model = cls(n_rounds=n_rounds).fit(X, y)
         with mock.patch.object(boosting_module._SortedFeatures, method, reference_search(method)):
             reference = cls(n_rounds=n_rounds).fit(X, y)
         assert len(model.stumps_) == len(reference.stumps_)
