@@ -7,6 +7,7 @@ of introspection the package uses: a ``Spec`` reads them to reject unknown
 options and to decide whether an estimator takes a seed.
 """
 
+import functools
 import hashlib
 import inspect
 from dataclasses import dataclass, field
@@ -32,16 +33,32 @@ class BaseEstimator:
         return sorted(names)
 
 
-def _key_to_ints(key):
+def _words(value):
+    """A non-negative int as numpy's SeedSequence reads one: its 32-bit
+    words, least significant first, at least one."""
+    words = [value & 0xFFFFFFFF]
+    value >>= 32
+    while value:
+        words.append(value & 0xFFFFFFFF)
+        value >>= 32
+    return words
+
+
+@functools.lru_cache(maxsize=None)
+def _str_words(key):
+    digest = hashlib.sha256(key.encode("utf-8")).digest()
+    return tuple(w for i in range(0, 16, 8) for w in _words(int.from_bytes(digest[i : i + 8], "little")))
+
+
+def _key_to_words(key):
     if isinstance(key, (int, np.integer)):
-        return [int(key) & 0xFFFFFFFFFFFFFFFF]
+        return _words(int(key) & 0xFFFFFFFFFFFFFFFF)
     if isinstance(key, str):
-        digest = hashlib.sha256(key.encode("utf-8")).digest()
-        return [int.from_bytes(digest[i : i + 8], "little") for i in range(0, 16, 8)]
+        return _str_words(key)
     if isinstance(key, (tuple, list)):
         out = []
         for part in key:
-            out.extend(_key_to_ints(part))
+            out.extend(_key_to_words(part))
         return out
     raise TypeError(f"cannot derive seed material from {type(key).__name__}")
 
@@ -50,12 +67,15 @@ def seed_sequence(*keys):
     """Deterministic SeedSequence from a mix of ints and strings.
 
     Never touches Python's randomized ``hash``; the same keys produce the
-    same stream on every run, process and platform.
+    same stream on every run, process and platform. Each int key, and each
+    string key's two 64-bit halves of its sha256, is entropy in the order
+    given; the words go to numpy as one uint32 array, the form it converts
+    a list of ints to.
     """
     entropy = []
     for key in keys:
-        entropy.extend(_key_to_ints(key))
-    return np.random.SeedSequence(entropy)
+        entropy.extend(_key_to_words(key))
+    return np.random.SeedSequence(np.array(entropy, dtype=np.uint32))
 
 
 def derive_rng(*keys):

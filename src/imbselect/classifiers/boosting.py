@@ -35,7 +35,7 @@ from typing import NamedTuple
 import numpy as np
 
 from .base import BinaryClassifier
-from .tree import midpoint
+from .tree import _Chord, midpoint
 
 _PROB_CLIP = 1e-7
 # Rounding slack of the Gini screen, in units of a run's scale
@@ -117,40 +117,19 @@ def _first_hits(values, best, segments, counts, at=None):
     return first if at is None else at[first]
 
 
-class _Chord:
-    """Lower bounds on the Gini inside concave stretches of positions, from
-    the chord between each stretch's end values less the rounding slack."""
-
-    def __init__(self, lo, hi, w_lo, w_hi, g_lo, g_hi, pos_left, total_w, total_pos):
-        self.rising = g_hi >= g_lo
-        # where the chord is lowest, and the way into the stretch from there
-        self.start = np.where(self.rising, lo, hi)
-        self.step = np.where(self.rising, 1, -1)
-        self.w_lo, self.span = w_lo, w_hi - w_lo
-        self.g_lo, self.rise = g_lo, g_hi - g_lo
-        # P/W peaks at a stretch's low end and |Q|/R at its high end
-        frac_l = np.divide(pos_left, w_lo, out=np.zeros_like(w_lo), where=w_lo > 0)
-        w_right = total_w - w_hi
-        pos_right = np.abs(total_pos - pos_left)
-        frac_r = np.divide(pos_right, w_right, out=np.zeros_like(w_hi), where=w_right > 0)
-        self.slack = _GINI_SLACK * (
-            pos_left * (1.0 + 2.0 * frac_l)
-            + pos_right * (1.0 + 2.0 * frac_r)
-            + np.finfo(float).tiny * (1.0 + total_w)
-        ) / total_w
-
-    def inward(self, steps):
-        """Table positions ``steps`` in from each stretch's lower end."""
-        if np.ndim(steps) == 2:
-            return self.start[:, None] + self.step[:, None] * steps
-        return self.start + self.step * steps
-
-    def reaches(self, w_left, floor, i=slice(None)):
-        """Whether a cut at left weight w_left could have a Gini at or
-        below floor."""
-        span = self.span[i]
-        t = np.divide(w_left - self.w_lo[i], span, out=np.zeros(np.shape(w_left)), where=span > 0)
-        return self.g_lo[i] + self.rise[i] * t - self.slack[i] <= floor
+def _chord_slack(w_lo, w_hi, pos_left, total_w, total_pos):
+    """The ``_GINI_SLACK`` bound for stretches of cuts from left weight w_lo
+    to w_hi with left positive weight pos_left."""
+    # P/W peaks at a stretch's low end and |Q|/R at its high end
+    frac_l = np.divide(pos_left, w_lo, out=np.zeros_like(w_lo), where=w_lo > 0)
+    w_right = total_w - w_hi
+    pos_right = np.abs(total_pos - pos_left)
+    frac_r = np.divide(pos_right, w_right, out=np.zeros_like(w_hi), where=w_right > 0)
+    return _GINI_SLACK * (
+        pos_left * (1.0 + 2.0 * frac_l)
+        + pos_right * (1.0 + 2.0 * frac_r)
+        + np.finfo(float).tiny * (1.0 + total_w)
+    ) / total_w
 
 
 class _Group(NamedTuple):
@@ -322,9 +301,10 @@ class _SortedFeatures:
             floor = np.repeat(np.minimum.reduceat(value, group.offsets), group.counts)[k]
             # the Gini is concave only while the right weight stays positive
             straddle = (w_right[k] > 0.0) & (w_right[n_runs + k] <= 0.0)
+            w_lo, w_hi = w_ends[k], w_ends[n_runs + k]
             chord = _Chord(
-                first_at[k], last_at[k], w_ends[k], w_ends[n_runs + k],
-                g_first[k], g_last[k], pos_left[k], total_w, total_pos,
+                first_at[k], last_at[k], w_lo, w_hi, g_first[k], g_last[k],
+                _chord_slack(w_lo, w_hi, pos_left[k], total_w, total_pos),
             )
             # over a run's interior the chord is lowest next to the lower end
             near = np.flatnonzero(
@@ -359,7 +339,9 @@ class _SortedFeatures:
             run = np.concatenate([run, split])
         w_ends = np.take(sums, np.concatenate([lo, hi]))
         g_ends = _gini(w_ends, np.tile(pos_left[run], 2), total_w, total_pos)[0]
-        chord = _Chord(lo, hi, *np.split(w_ends, 2), *np.split(g_ends, 2), pos_left[run], total_w, total_pos)
+        w_lo, w_hi = np.split(w_ends, 2)
+        slack = _chord_slack(w_lo, w_hi, pos_left[run], total_w, total_pos)
+        chord = _Chord(lo, hi, w_lo, w_hi, *np.split(g_ends, 2), slack)
         # probe 1, 2, 4, ... positions in from each piece's lower end: the
         # chord only rises away from it, so past the first probe it rules
         # out, nothing can reach the floor

@@ -40,9 +40,11 @@ class RandomForestClassifier(BinaryClassifier):
         self.probability_mode = probability_mode
         self.seed = seed
 
-    def _fit(self, X, y):
+    def _fit(self, X, y, presorted=None):
+        """``presorted`` is ``presort(X)`` when the caller holds it already."""
         n = X.shape[0]
-        presorted = presort(X)
+        if presorted is None:
+            presorted = presort(X)
         counts = np.ones(n, dtype=np.int64)
         self.trees_ = []
         for t in range(self.n_trees):

@@ -9,7 +9,9 @@ A tree grows from per-row counts over a shared matrix: a forest passes its
 bootstrap draw as counts (how often each row was drawn) instead of copying
 the drawn rows, and a plain fit uses all-one counts. Each feature is
 stable-argsorted once per fit (``presort``), and a forest shares those
-orders across its trees. A node that holds at least 1/``_PRESORT_SHARE``
+orders across its trees; ``presort_rows`` derives the orders of a subset
+of rows from the full ones, as the instance-hardness undersampler does for
+its fold forests. A node that holds at least 1/``_PRESORT_SHARE``
 of the fit's draws finds each sampled feature's sorted rows by filtering
 the shared order by node membership, which costs O(rows of the fit) per
 feature. A smaller node expands its rows by their counts and argsorts
@@ -18,6 +20,21 @@ O(fit) filter, and filtering at every node made a 7.7k-node tree on
 20,000 rows about 1.6x slower to fit. Both paths give the same tree bit
 for bit: ties among equal values never change a cut position, a count, a
 threshold or the order of random draws.
+
+A presorted node with few positive draws evaluates the Gini only at the
+ends of its class runs, the stretches of cuts with the same positive draws
+on their left. Along a run the weighted Gini, 2P - 2P²/W on each side for
+P positive draws of W, is concave in the left draw count, so the run's
+least value is at one of its ends (Fayyad & Irani, 1992). The runs come
+from the node's positive rows: their values bound the runs, and a binary
+search of each feature's sorted values finds each run's first and last cut.
+Computed values carry rounding, so a run is evaluated at every cut wherever
+the chord between its end values, less ``_GINI_SLACK``, could reach the
+least end of the node. A node with more positive draws per draw than
+``_DENSE_POSITIVES``, where runs are a cut or two long, or with fewer node
+rows times features than ``_RUN_CELLS``, where the fixed cost of the runs
+exceeds the cuts they skip, evaluates every cut. Either way the node takes
+the split an every-cut search takes, with the same bits.
 """
 
 import numpy as np
@@ -29,14 +46,82 @@ _LEAF = -1
 # Nodes holding at least 1/_PRESORT_SHARE of the fit's draws filter the
 # shared presort; smaller ones argsort their own rows.
 _PRESORT_SHARE = 16
+# Rounding slack of the run-end screen. With u = 2**-53 and draw counts
+# exact in floats, each of 1 - a² - b² per side is within 4.5u of exact
+# (a, b <= 1), each product n * g adds 0.5u n, and their sum and the
+# division by n add u: a computed Gini is within 6u of its exact value. The
+# exact Gini of a cut inside a run lies above the chord of the run's exact
+# end values; the computed ends cost 2 * 6u and the chord's arithmetic
+# about 2.5u: 14.5u in all. 2**-47 is 64u, over four times that bound.
+_GINI_SLACK = 2.0 ** -47
+# Run ends or every cut (module docstring). On IHT-like nodes of 2,500 and
+# 10,000 rows with 2 and 4 features, the run-end search broke even between
+# 5% and 10% positive draws. With 5 positives it won at 2,500 node rows
+# times features and up (0.62-0.82 of every cut), was even near 2,000, and
+# lost up to 2.4x on one feature or a few hundred rows below that.
+_DENSE_POSITIVES = 0.05
+_RUN_CELLS = 2500
 
 
-def presort(X):
-    """(orders, values), both (features, rows): row ``orders[f]`` sorts
-    column f with equal values kept in row order; ``values[f]`` is the
-    column in that order."""
-    orders = np.argsort(X.T, axis=1, kind="stable")
+def sort_orders(X):
+    """(features, rows): row f sorts column f of X, equal values kept in row
+    order."""
+    return np.argsort(X.T, axis=1, kind="stable")
+
+
+def presort(X, orders=None):
+    """(orders, values), both (features, rows): ``sort_orders(X)``, or
+    ``orders`` when the caller has them, and each column in its order."""
+    if orders is None:
+        orders = sort_orders(X)
     return orders, np.take_along_axis(X.T, orders, axis=1)
+
+
+def presort_rows(orders, keep):
+    """``sort_orders(X[keep])`` from ``orders = sort_orders(X)``: a stable
+    order filtered to the kept rows and renumbered in row order is the
+    stable order of the kept rows."""
+    kept = keep[orders]
+    renumber = np.cumsum(keep) - 1
+    return renumber[orders[kept]].reshape(orders.shape[0], np.count_nonzero(keep))
+
+
+def _gini(n_left, pos_left, n, n_pos):
+    """Weighted child Gini of cuts with n_left draws, pos_left of them
+    positive, on their left."""
+    n_right = n - n_left
+    pos_right = n_pos - pos_left
+    gini_left = 1.0 - (pos_left / n_left) ** 2 - ((n_left - pos_left) / n_left) ** 2
+    gini_right = 1.0 - (pos_right / n_right) ** 2 - ((n_right - pos_right) / n_right) ** 2
+    return (n_left * gini_left + n_right * gini_right) / n
+
+
+class _Chord:
+    """Lower bounds on the Gini inside concave stretches of positions, from
+    the chord between each stretch's end values less its rounding
+    ``slack``. Positions lo and hi carry left weights w_lo and w_hi."""
+
+    def __init__(self, lo, hi, w_lo, w_hi, g_lo, g_hi, slack):
+        self.rising = g_hi >= g_lo
+        # where the chord is lowest, and the way into the stretch from there
+        self.start = np.where(self.rising, lo, hi)
+        self.step = np.where(self.rising, 1, -1)
+        self.w_lo, self.span = w_lo, w_hi - w_lo
+        self.g_lo, self.rise = g_lo, g_hi - g_lo
+        self.slack = slack
+
+    def inward(self, steps):
+        """Positions ``steps`` in from each stretch's lower end."""
+        if np.ndim(steps) == 2:
+            return self.start[:, None] + self.step[:, None] * steps
+        return self.start + self.step * steps
+
+    def reaches(self, w_left, floor, i=slice(None)):
+        """Whether a cut at left weight w_left could have a Gini at or
+        below floor."""
+        span = self.span[i]
+        t = np.divide(w_left - self.w_lo[i], span, out=np.zeros(np.shape(w_left)), where=span > 0)
+        return self.g_lo[i] + self.rise[i] * t - self.slack[i] <= floor
 
 
 def _gini_cuts(xs, cum_pos, n, n_pos, cum_n=None):
@@ -47,12 +132,7 @@ def _gini_cuts(xs, cum_pos, n, n_pos, cum_n=None):
     """
     cut = np.flatnonzero(xs[1:] > xs[:-1])
     n_left = cut + 1.0 if cum_n is None else cum_n[cut]
-    pos_left = cum_pos[cut]
-    n_right = n - n_left
-    pos_right = n_pos - pos_left
-    gini_left = 1.0 - (pos_left / n_left) ** 2 - ((n_left - pos_left) / n_left) ** 2
-    gini_right = 1.0 - (pos_right / n_right) ** 2 - ((n_right - pos_right) / n_right) ** 2
-    return (n_left * gini_left + n_right * gini_right) / n, cut
+    return _gini(n_left, cum_pos[cut], n, n_pos), cut
 
 
 def midpoint(xs, c):
@@ -90,7 +170,8 @@ def _best_split(X, y, rows, feature_ids):
 
 
 def _best_presorted_split(presorted, member, counts, pos_counts, n, n_pos, feature_ids):
-    """``_best_split`` for a node read from the shared ``presort``.
+    """``_best_split`` for a node read from the shared ``presort``, every
+    cut evaluated.
 
     ``member`` masks the node's rows (None: every row of the fit); float
     ``counts`` weight them (None: one draw each) and ``pos_counts`` hold
@@ -116,6 +197,90 @@ def _best_presorted_split(presorted, member, counts, pos_counts, n, n_pos, featu
     if best is None:
         return None
     return (best_score, *best)
+
+
+def _run_end_split(X, presorted, member, counts, pos_counts, pos_rows, n, n_pos, feature_ids):
+    """``_best_presorted_split`` from the ends of class runs, all features
+    of the node at once; ``pos_rows`` are the node's rows with positive
+    draws."""
+    orders, values = presorted
+    lines = np.arange(len(feature_ids))[:, None]
+    if member is None:
+        node_rows, xs = orders[feature_ids], values[feature_ids]
+    else:
+        shape = (len(feature_ids), np.count_nonzero(member))
+        node_rows, xs = np.empty(shape, dtype=orders.dtype), np.empty(shape)
+        for i, f in enumerate(feature_ids.tolist()):
+            keep = member[orders[f]]
+            orders[f].compress(keep, out=node_rows[i])
+            values[f].compress(keep, out=xs[i])
+    n_feats, m = xs.shape
+    # each feature's positive rows by value: run r lies between the r-th and
+    # the (r + 1)-th, and its cuts hold the first r on their left
+    pos_x = X[pos_rows[:, None], feature_ids].T
+    by_value = np.argsort(pos_x, axis=1, kind="stable")
+    k = pos_x.shape[1]
+    bounds = np.empty((n_feats, k + 2))
+    bounds[:, 0], bounds[:, 1:-1], bounds[:, -1] = xs[:, 0], pos_x[lines, by_value], xs[:, -1]
+    pos_left = np.zeros((n_feats, 1, k + 1))
+    np.cumsum(pos_counts[pos_rows][by_value], axis=1, out=pos_left[:, 0, 1:])
+    # a run's first cut is the last row valued at its lower bound, and its
+    # last cut the row before the first valued at its upper bound
+    ends = np.empty((n_feats, 2, k + 1), dtype=np.intp)
+    for i in range(n_feats):
+        ends[i, 0] = xs[i].searchsorted(bounds[i, :-1], "right")
+        ends[i, 1] = xs[i].searchsorted(bounds[i, 1:], "left")
+    ends -= 1
+    first, last = ends[:, 0], ends[:, 1]
+    # empty runs; every run of a constant feature ends before it starts
+    ruled_out = first > last
+    if ruled_out.all():
+        return None
+    # read the ends of empty runs at some cut in range
+    np.minimum(ends, m - 2, out=ends)
+    np.maximum(ends, 0, out=ends)
+    if counts is None:
+        cum_n = None
+        n_ends = ends + 1.0
+    else:
+        cum_n = np.cumsum(counts[node_rows], axis=1)
+        n_ends = cum_n[lines[:, :, None], ends]
+    gini = _gini(n_ends, pos_left, n, n_pos)
+    value = gini.min(axis=1)
+    value[ruled_out] = np.inf
+    at = np.where(gini[:, 1] < gini[:, 0], last, first)
+    # inside a run the chord lies at least |rise| / span above the lower
+    # end, as a cut there has a draw more than the run's first cut and one
+    # fewer than its last: only a run rising less than twice the slack over
+    # its draws can reach the floor, so only those go to the chord test
+    flat = np.abs(gini[:, 1] - gini[:, 0]) <= 2.0 * _GINI_SLACK * (n_ends[:, 1] - n_ends[:, 0])
+    inner = np.nonzero(flat & (last - first > 1))
+    if inner[0].size:
+        g_first, g_last = gini[:, 0][inner], gini[:, 1][inner]
+        slack = np.full(g_first.shape, _GINI_SLACK)
+        chord = _Chord(
+            first[inner], last[inner], n_ends[:, 0][inner], n_ends[:, 1][inner], g_first, g_last, slack
+        )
+        probe = chord.inward(1)
+        n_probe = probe + 1.0 if cum_n is None else cum_n[inner[0], probe]
+        near = chord.reaches(n_probe, value.min())
+        inner = (inner[0][near], inner[1][near])
+    for i, r in zip(*inner):
+        lo, hi = first[i, r], last[i, r]
+        cut = lo + np.flatnonzero(xs[i, lo + 1 : hi + 2] > xs[i, lo : hi + 1])
+        weighted = _gini(cut + 1.0 if cum_n is None else cum_n[i, cut], pos_left[i, 0, r], n, n_pos)
+        j = int(np.argmin(weighted))
+        value[i, r], at[i, r] = weighted[j], cut[j]
+    run = np.argmin(value, axis=1)
+    best = None
+    best_score = np.inf
+    for i, score in enumerate(value[lines[:, 0], run].tolist()):
+        if score < best_score:
+            best_score, best = score, i
+    c = at[best, run[best]]
+    # a copy, so that the children do not hold the other features' rows
+    node_rows = node_rows[best].copy()
+    return best_score, int(feature_ids[best]), midpoint(xs[best], c), node_rows[: c + 1], node_rows[c + 1 :]
 
 
 class DecisionTreeClassifier(BinaryClassifier):
@@ -182,6 +347,7 @@ class DecisionTreeClassifier(BinaryClassifier):
             at_cap = self.max_depth is not None and depth >= self.max_depth
             split = None
             if not at_cap and 0 < n_pos < n and n >= self.min_samples_split:
+                feats = self._feature_ids(p, rng)
                 if from_presort:
                     member = None
                     if rows.size < X.shape[0]:
@@ -189,9 +355,12 @@ class DecisionTreeClassifier(BinaryClassifier):
                         member[rows] = True
                     search = _best_presorted_split
                     node = (presorted, member, weights, pos_weights, n, n_pos)
+                    if n_pos <= _DENSE_POSITIVES * n and rows.size * feats.size >= _RUN_CELLS:
+                        search = _run_end_split
+                        pos_rows = rows[pos_weights[rows] > 0]
+                        node = (X, presorted, member, weights, pos_weights, pos_rows, n, n_pos)
                 else:
                     search, node = _best_split, (X, y, rows)
-                feats = self._feature_ids(p, rng)
                 split = search(*node, feats)
                 if split is None and feats.size < p:
                     # sampled features were constant here: look at the rest

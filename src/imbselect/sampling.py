@@ -16,6 +16,7 @@ import numpy as np
 from .base import BaseEstimator, Spec, derive_rng, derive_seed
 from .classifiers.forest import RandomForestClassifier
 from .classifiers.neighbors import positive_counts, squared_distances
+from .classifiers.tree import presort, presort_rows, sort_orders
 from .dataset import Dataset, freeze, round_half_away, stratified_folds
 from .validation import check_X_y, require_both_classes
 
@@ -95,7 +96,11 @@ class InstanceHardnessThreshold(BaseEstimator):
 
     Hardness comes from out-of-fold class probabilities of an internal
     forest (50 leaf-averaging trees, depth cap 10) over a stratified CV of
-    the training split. Minority rows are always kept.
+    the training split. Minority rows are always kept. Each call sorts the
+    training split once; every fold forest reads its training rows' sort
+    orders off that one (``presort_rows``), which are the orders its own
+    presort would give, so the kept rows are the same as with a sort per
+    fold. The full orders are held across the folds.
     """
 
     def __init__(self, target_ratio=1.0, iht_folds=5, seed=0):
@@ -105,16 +110,21 @@ class InstanceHardnessThreshold(BaseEstimator):
 
     def _out_of_fold_true_class_probability(self, X, y):
         folds = stratified_folds(y, self.iht_folds, seed=derive_seed(self.seed, "iht_folds"))
+        orders = sort_orders(X)
         proba_true = np.empty(X.shape[0])
         for f in range(self.iht_folds):
             held = folds == f
+            train = ~held
             model = RandomForestClassifier(
                 n_trees=50,
                 max_depth=10,
                 probability_mode="leaf_mean",
                 seed=derive_seed(self.seed, "iht_forest", f),
-            ).fit(X[~held], y[~held])
-            p1 = model.predict_score(X[held])
+            )
+            # X is checked and every fold's training rows hold both classes
+            X_train = X[train]
+            model._fit(X_train, y[train], presort(X_train, presort_rows(orders, train)))
+            p1 = model._score(X[held])
             proba_true[held] = np.where(y[held] == 1, p1, 1.0 - p1)
         return proba_true
 
@@ -131,7 +141,6 @@ class InstanceHardnessThreshold(BaseEstimator):
         proba_true = self._out_of_fold_true_class_probability(X, y)
         order = np.argsort(-proba_true[neg_idx], kind="stable")  # ties: lower index
         kept = np.sort(np.concatenate([pos_idx, neg_idx[order[:keep]]]))
-        self.true_class_probability_ = proba_true
         return X[kept], y[kept]
 
 

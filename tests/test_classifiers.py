@@ -1,3 +1,4 @@
+import hashlib
 import math
 import tracemalloc
 from unittest import mock
@@ -7,6 +8,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from imbselect import base as base_module
 from imbselect.base import derive_rng, derive_seed
 from imbselect.classifiers import (
     CLASSIFIER_REGISTRY,
@@ -376,6 +378,42 @@ def test_spec_label_includes_params():
     assert ClassifierSpec("knn", {"k": 3}).label == "knn(k=3)"
 
 
+def reference_seed_sequence(*keys):
+    """The SeedSequence of the key path as a list of Python ints, one per
+    int key and two (the sha256 halves) per string, which numpy splits
+    into 32-bit words itself."""
+    entropy = []
+
+    def add(key):
+        if isinstance(key, (tuple, list)):
+            for part in key:
+                add(part)
+        elif isinstance(key, str):
+            digest = hashlib.sha256(key.encode("utf-8")).digest()
+            entropy.extend(int.from_bytes(digest[i : i + 8], "little") for i in (0, 8))
+        else:
+            entropy.append(int(key) & 0xFFFFFFFFFFFFFFFF)
+
+    for key in keys:
+        add(key)
+    return np.random.SeedSequence(entropy)
+
+
+@settings(max_examples=200, deadline=None)
+@given(keys=st.lists(
+    st.one_of(
+        st.integers(-(2**70), 2**70),
+        st.sampled_from([0, 2**32 - 1, 2**32, 2**64 - 1, -1]),
+        st.text(max_size=8),
+        st.tuples(st.integers(0, 2**40), st.text(max_size=3)),
+    ),
+    min_size=1, max_size=5,
+))
+def test_seed_sequence_matches_numpys_own_reading_of_the_keys(keys):
+    ours = base_module.seed_sequence(*keys)
+    assert np.array_equal(ours.generate_state(8), reference_seed_sequence(*keys).generate_state(8))
+
+
 def test_make_classifier_derives_distinct_seeds():
     a = make_classifier(ClassifierSpec("random_forest"), seed=1)
     b = make_classifier(ClassifierSpec("random_forest"), seed=2)
@@ -490,23 +528,50 @@ def tree_problems(draw):
     return X, y
 
 
+# how a presorted node searches: the run ends wherever it has a positive
+# draw, as the node's counts choose, or every cut
+SEARCHES = {
+    "runs": {"_DENSE_POSITIVES": 1.0, "_RUN_CELLS": 0},
+    "chosen": {},
+    "every_cut": {"_DENSE_POSITIVES": -1.0},
+}
+
+
+def searching(search, share):
+    return mock.patch.multiple(tree_module, _PRESORT_SHARE=share, **SEARCHES[search])
+
+
 @settings(max_examples=80, deadline=None)
 @given(
     problem=tree_problems(),
     max_depth=st.sampled_from([None, 1, 2, 4]),
     max_features=st.sampled_from([None, "sqrt", 1, 2]),
     share=st.sampled_from([1, 2, 8, tree_module._PRESORT_SHARE, 10**9]),
+    search=st.sampled_from(list(SEARCHES)),
     seed=st.integers(0, 2**31),
 )
-def test_presorted_tree_matches_per_node_reference(problem, max_depth, max_features, share, seed):
+def test_presorted_tree_matches_per_node_reference(problem, max_depth, max_features, share, search, seed):
     # share 1 sends every node below the root to the per-node path and
     # 10**9 keeps every node on the presort, so both paths and the switch
     # between them are covered
     X, y = problem
-    with mock.patch.object(tree_module, "_PRESORT_SHARE", share):
+    with searching(search, share):
         tree = DecisionTreeClassifier(max_depth=max_depth, max_features=max_features, seed=seed)
         tree.fit(X, y)
     assert_same_tree(tree, reference_cart(X, y, max_depth, max_features, seed))
+
+
+def assert_forest_trees_match_reference(X, y, max_depth, max_features, bootstrap, seed, patch):
+    n = X.shape[0]
+    with patch:
+        forest = RandomForestClassifier(
+            n_trees=4, max_depth=max_depth, max_features=max_features,
+            bootstrap=bootstrap, seed=seed,
+        ).fit(X, y)
+    for t, tree in enumerate(forest.trees_):
+        idx = derive_rng(seed, "bootstrap", t).integers(0, n, size=n) if bootstrap else np.arange(n)
+        tree_seed = derive_seed(seed, "tree", t)
+        assert_same_tree(tree, reference_cart(X[idx], y[idx], max_depth, max_features, tree_seed))
 
 
 @settings(max_examples=40, deadline=None)
@@ -516,20 +581,90 @@ def test_presorted_tree_matches_per_node_reference(problem, max_depth, max_featu
     max_features=st.sampled_from(["sqrt", None, 2]),
     bootstrap=st.booleans(),
     share=st.sampled_from([1, tree_module._PRESORT_SHARE, 10**9]),
+    search=st.sampled_from(list(SEARCHES)),
     seed=st.integers(0, 2**31),
 )
-def test_presorted_forest_trees_match_reference(problem, max_depth, max_features, bootstrap, share, seed):
+def test_presorted_forest_trees_match_reference(problem, max_depth, max_features, bootstrap, share, search, seed):
     X, y = problem
-    n = X.shape[0]
-    with mock.patch.object(tree_module, "_PRESORT_SHARE", share):
-        forest = RandomForestClassifier(
-            n_trees=4, max_depth=max_depth, max_features=max_features,
-            bootstrap=bootstrap, seed=seed,
-        ).fit(X, y)
-    for t, tree in enumerate(forest.trees_):
-        idx = derive_rng(seed, "bootstrap", t).integers(0, n, size=n) if bootstrap else np.arange(n)
-        tree_seed = derive_seed(seed, "tree", t)
-        assert_same_tree(tree, reference_cart(X[idx], y[idx], max_depth, max_features, tree_seed))
+    patch = searching(search, share)
+    assert_forest_trees_match_reference(X, y, max_depth, max_features, bootstrap, seed, patch)
+
+
+@st.composite
+def sparse_tree_problems(draw):
+    """1-8 positives in 50-2,000 rows, with tied values, constant columns
+    and, at times, duplicated rows."""
+    n = draw(st.integers(50, 2000))
+    p = draw(st.integers(1, 5))
+    levels = draw(st.sampled_from([3, 20, None]))  # None: continuous
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    X = rng.normal(size=(n, p)) if levels is None else rng.integers(0, levels, (n, p)) * 0.5
+    X[:, draw(st.lists(st.integers(0, p - 1), max_size=p))] = 1.25
+    y = np.zeros(n, dtype=np.int64)
+    y[rng.choice(n, draw(st.integers(1, 8)), replace=False)] = 1
+    if draw(st.booleans()):  # duplicate rows, positives among them
+        dup = np.concatenate([np.flatnonzero(y)[:2], rng.choice(n, n // 10)])
+        X, y = np.vstack([X, X[dup]]), np.concatenate([y, y[dup]])
+    return X, y
+
+
+@settings(max_examples=40, deadline=None)
+@given(
+    problem=sparse_tree_problems(),
+    max_depth=st.sampled_from([None, 3]),
+    max_features=st.sampled_from([None, "sqrt"]),
+    share=st.sampled_from([1, tree_module._PRESORT_SHARE, 10**9]),
+    search=st.sampled_from(list(SEARCHES)),
+    seed=st.integers(0, 2**31),
+)
+def test_sparse_positive_trees_match_reference(problem, max_depth, max_features, share, search, seed):
+    X, y = problem
+    with searching(search, share):
+        tree = DecisionTreeClassifier(max_depth=max_depth, max_features=max_features, seed=seed)
+        tree.fit(X, y)
+    assert_same_tree(tree, reference_cart(X, y, max_depth, max_features, seed))
+
+
+@settings(max_examples=20, deadline=None)
+@given(
+    problem=sparse_tree_problems(),
+    max_features=st.sampled_from([None, "sqrt"]),
+    share=st.sampled_from([1, tree_module._PRESORT_SHARE, 10**9]),
+    search=st.sampled_from(list(SEARCHES)),
+    seed=st.integers(0, 2**31),
+)
+def test_sparse_positive_forest_trees_match_reference(problem, max_features, share, search, seed):
+    X, y = problem
+    patch = searching(search, share)
+    assert_forest_trees_match_reference(X, y, 4, max_features, True, seed, patch)
+
+
+@pytest.mark.parametrize("y, counts, threshold", [
+    # one positive at each end: the one run's two ends mirror each other,
+    # so their Gini ties to the bit and the first cut must win
+    ([1, 0, 0, 0, 0, 0, 0, 0, 0, 1], [1] * 10, 0.5),
+    # one positive above a run of negatives whose middle rows carry 2 and 3
+    # draws beside rows carrying ~4e14: the run's last two cuts tie to the
+    # bit, so the interior one must win over the run's last cut (2.5); only
+    # the chord screen's slack sends the search into the run
+    ([0, 0, 0, 1, 0], [414158747367174, 2, 3, 17959927500807, 372227461735554], 1.5),
+])
+def test_run_end_search_breaks_ties_to_the_earlier_cut(y, counts, threshold):
+    y, counts = np.array(y), np.array(counts)
+    X = np.arange(y.size, dtype=float)[:, None]
+    gini, _ = tree_module._gini_cuts(
+        X[:, 0], np.cumsum(counts * y), int(counts.sum()), int((counts * y).sum()), np.cumsum(counts * 1.0)
+    )
+    assert np.count_nonzero(gini == gini.min()) == 2
+    trees = {}
+    for search in ("runs", "every_cut"):
+        # the huge counts must stay on the presort: never expand them
+        with searching(search, 10**9):
+            trees[search] = DecisionTreeClassifier(max_depth=1)
+            trees[search]._grow(X, y, counts, tree_module.presort(X))
+    assert trees["every_cut"].threshold_[0] == threshold
+    names = ("feature_", "threshold_", "left_", "right_", "prob_")
+    assert_same_tree(trees["runs"], tuple(getattr(trees["every_cut"], name) for name in names))
 
 
 def test_fitted_trees_keep_no_presort_or_counts():

@@ -4,8 +4,10 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from imbselect.base import derive_rng, derive_seed
+from imbselect.classifiers.forest import RandomForestClassifier
 from imbselect.classifiers.neighbors import squared_distances
-from imbselect.dataset import Dataset
+from imbselect.classifiers.tree import presort_rows, sort_orders
+from imbselect.dataset import Dataset, round_half_away, stratified_folds
 from imbselect.sampling import (
     Adasyn,
     InstanceHardnessThreshold,
@@ -284,6 +286,55 @@ class TestInstanceHardness:
         X, y = imbalanced_blobs(n_pos=10, n_neg=10, seed=4)
         with pytest.raises(ValueError, match="majority count"):
             InstanceHardnessThreshold(target_ratio=1.0).fit_resample(X, y)
+
+
+def reference_iht(X, y, target_ratio, iht_folds, seed):
+    """(kept rows, out-of-fold P(true class)) with every fold forest fitted
+    on its training rows alone, so that it sorts them itself."""
+    folds = stratified_folds(y, iht_folds, seed=derive_seed(seed, "iht_folds"))
+    proba_true = np.empty(len(y))
+    for f in range(iht_folds):
+        held = folds == f
+        model = RandomForestClassifier(
+            n_trees=50, max_depth=10, probability_mode="leaf_mean",
+            seed=derive_seed(seed, "iht_forest", f),
+        ).fit(X[~held], y[~held])
+        p1 = model.predict_score(X[held])
+        proba_true[held] = np.where(y[held] == 1, p1, 1.0 - p1)
+    pos_idx, neg_idx = np.flatnonzero(y == 1), np.flatnonzero(y == 0)
+    keep = round_half_away(len(pos_idx) / target_ratio)
+    order = np.argsort(-proba_true[neg_idx], kind="stable")
+    return np.sort(np.concatenate([pos_idx, neg_idx[order[:keep]]])), proba_true
+
+
+@pytest.mark.parametrize("iht_folds", [2, 3, 4, 5])
+@pytest.mark.parametrize("seed", [0, 11, 2024])
+def test_iht_shared_presort_matches_per_fold_presorts(iht_folds, seed):
+    # values on a coarse grid and repeated rows, so the sort orders hold ties
+    X, y = imbalanced_blobs(n_pos=8, n_neg=150, p=3, seed=seed)
+    X = np.round(X, 1)
+    X, y = np.vstack([X, X[:20]]), np.concatenate([y, y[:20]])
+    sampler = InstanceHardnessThreshold(target_ratio=0.3, iht_folds=iht_folds, seed=seed)
+    kept, proba_true = reference_iht(X, y, 0.3, iht_folds, seed)
+    assert sampler._out_of_fold_true_class_probability(X, y).tobytes() == proba_true.tobytes()
+    Xr, yr = sampler.fit_resample(X, y)
+    assert np.array_equal(Xr, X[kept]) and np.array_equal(yr, y[kept])
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    n=st.integers(1, 60),
+    p=st.integers(1, 4),
+    levels=st.sampled_from([2, 5, None]),
+    seed=st.integers(0, 2**32 - 1),
+)
+def test_presort_rows_is_the_presort_of_the_kept_rows(n, p, levels, seed):
+    rng = np.random.default_rng(seed)
+    X = rng.normal(size=(n, p)) if levels is None else rng.integers(0, levels, (n, p)) * 0.5
+    keep = rng.random(n) < 0.7
+    orders = presort_rows(sort_orders(X), keep)
+    expected = sort_orders(X[keep])
+    assert np.array_equal(orders, expected) and orders.dtype == expected.dtype
 
 
 class TestResampleContract:
