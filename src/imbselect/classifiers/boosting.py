@@ -7,9 +7,10 @@ minimizing weighted Gini, adds half log-odds of the leaf class
 probabilities, and scores with the logistic of the summed margin. Both
 threshold at 0.5 <=> margin 0.
 
-Each fit sorts every feature once and splits its cuts (the positions where
-the sorted value rises) into runs: the stretches of cuts with the same
-positive rows on their left. A round takes each feature's running sums
+Each fit sorts every feature once, in the tree's presort order
+(``tree.sort_orders``), and splits its cuts (the positions where the sorted
+value rises) into runs: the stretches of cuts with the same positive rows
+on their left. A round takes each feature's running sums
 of the weights in sorted order: over every row (the real variant), over
 the positive rows, and over the negative rows (the discrete variant). The
 first is the full scan's own sum; at every cut the class sums equal the
@@ -35,7 +36,7 @@ from typing import NamedTuple
 import numpy as np
 
 from .base import BinaryClassifier
-from .tree import _Chord, midpoint
+from .tree import midpoint, sort_orders
 
 _PROB_CLIP = 1e-7
 # Rounding slack of the Gini screen, in units of a run's scale
@@ -117,19 +118,42 @@ def _first_hits(values, best, segments, counts, at=None):
     return first if at is None else at[first]
 
 
-def _chord_slack(w_lo, w_hi, pos_left, total_w, total_pos):
-    """The ``_GINI_SLACK`` bound for stretches of cuts from left weight w_lo
-    to w_hi with left positive weight pos_left."""
-    # P/W peaks at a stretch's low end and |Q|/R at its high end
-    frac_l = np.divide(pos_left, w_lo, out=np.zeros_like(w_lo), where=w_lo > 0)
-    w_right = total_w - w_hi
-    pos_right = np.abs(total_pos - pos_left)
-    frac_r = np.divide(pos_right, w_right, out=np.zeros_like(w_hi), where=w_right > 0)
-    return _GINI_SLACK * (
-        pos_left * (1.0 + 2.0 * frac_l)
-        + pos_right * (1.0 + 2.0 * frac_r)
-        + np.finfo(float).tiny * (1.0 + total_w)
-    ) / total_w
+class _Chord:
+    """Lower bounds on the Gini inside concave stretches of positions, from
+    the chord between each stretch's end values less the rounding slack.
+    Positions lo and hi carry left weights w_lo and w_hi and left positive
+    weight pos_left."""
+
+    def __init__(self, lo, hi, w_lo, w_hi, g_lo, g_hi, pos_left, total_w, total_pos):
+        self.rising = g_hi >= g_lo
+        # where the chord is lowest, and the way into the stretch from there
+        self.start = np.where(self.rising, lo, hi)
+        self.step = np.where(self.rising, 1, -1)
+        self.w_lo, self.span = w_lo, w_hi - w_lo
+        self.g_lo, self.rise = g_lo, g_hi - g_lo
+        # P/W peaks at a stretch's low end and |Q|/R at its high end
+        frac_l = np.divide(pos_left, w_lo, out=np.zeros_like(w_lo), where=w_lo > 0)
+        w_right = total_w - w_hi
+        pos_right = np.abs(total_pos - pos_left)
+        frac_r = np.divide(pos_right, w_right, out=np.zeros_like(w_hi), where=w_right > 0)
+        self.slack = _GINI_SLACK * (
+            pos_left * (1.0 + 2.0 * frac_l)
+            + pos_right * (1.0 + 2.0 * frac_r)
+            + np.finfo(float).tiny * (1.0 + total_w)
+        ) / total_w
+
+    def inward(self, steps):
+        """Table positions ``steps`` in from each stretch's lower end."""
+        if np.ndim(steps) == 2:
+            return self.start[:, None] + self.step[:, None] * steps
+        return self.start + self.step * steps
+
+    def reaches(self, w_left, floor, i=slice(None)):
+        """Whether a cut at left weight w_left could have a Gini at or
+        below floor."""
+        span = self.span[i]
+        t = np.divide(w_left - self.w_lo[i], span, out=np.zeros(np.shape(w_left)), where=span > 0)
+        return self.g_lo[i] + self.rise[i] * t - self.slack[i] <= floor
 
 
 class _Group(NamedTuple):
@@ -164,7 +188,7 @@ class _SortedFeatures:
         self.is_positive = y == 1
         n, p = X.shape
         self.width = n + 1
-        self.order = np.argsort(X.T, axis=1, kind="stable")
+        self.order = sort_orders(X)
         sorted_positive = self.is_positive[self.order]
         self.positive = self._rows(sorted_positive)
         pos_width = self.positive.shape[1] + 1
@@ -301,10 +325,9 @@ class _SortedFeatures:
             floor = np.repeat(np.minimum.reduceat(value, group.offsets), group.counts)[k]
             # the Gini is concave only while the right weight stays positive
             straddle = (w_right[k] > 0.0) & (w_right[n_runs + k] <= 0.0)
-            w_lo, w_hi = w_ends[k], w_ends[n_runs + k]
             chord = _Chord(
-                first_at[k], last_at[k], w_lo, w_hi, g_first[k], g_last[k],
-                _chord_slack(w_lo, w_hi, pos_left[k], total_w, total_pos),
+                first_at[k], last_at[k], w_ends[k], w_ends[n_runs + k],
+                g_first[k], g_last[k], pos_left[k], total_w, total_pos,
             )
             # over a run's interior the chord is lowest next to the lower end
             near = np.flatnonzero(
@@ -339,9 +362,7 @@ class _SortedFeatures:
             run = np.concatenate([run, split])
         w_ends = np.take(sums, np.concatenate([lo, hi]))
         g_ends = _gini(w_ends, np.tile(pos_left[run], 2), total_w, total_pos)[0]
-        w_lo, w_hi = np.split(w_ends, 2)
-        slack = _chord_slack(w_lo, w_hi, pos_left[run], total_w, total_pos)
-        chord = _Chord(lo, hi, w_lo, w_hi, *np.split(g_ends, 2), slack)
+        chord = _Chord(lo, hi, *np.split(w_ends, 2), *np.split(g_ends, 2), pos_left[run], total_w, total_pos)
         # probe 1, 2, 4, ... positions in from each piece's lower end: the
         # chord only rises away from it, so past the first probe it rules
         # out, nothing can reach the floor
@@ -447,7 +468,6 @@ class DiscreteAdaBoost(BinaryClassifier):
         signs = 2.0 * y - 1.0
         self.stumps_ = []
         self.alphas_ = []
-        self.stump_errors_ = []
         for _ in range(self.n_rounds):
             err, stump = sf.error_stump(w)
             if err >= 0.5 - 1e-12:
@@ -456,7 +476,6 @@ class DiscreteAdaBoost(BinaryClassifier):
             alpha = 0.5 * np.log((1.0 - err) / err)
             self.stumps_.append(stump)
             self.alphas_.append(float(alpha))
-            self.stump_errors_.append(float(err))
             h_signs = 2.0 * stump.values(X) - 1.0
             w = w * np.exp(-alpha * signs * h_signs)
             total = w.sum()
@@ -467,14 +486,12 @@ class DiscreteAdaBoost(BinaryClassifier):
             majority = 1.0 if float(y.mean()) >= 0.5 else 0.0
             self.stumps_.append(_Stump(-1, 0.0, majority, majority))
             self.alphas_.append(1.0)
-            self.stump_errors_.append(0.5)
 
-    def decision_margin(self, X, n_rounds=None):
-        """Sum of alpha-weighted stump votes over the first n_rounds."""
+    def decision_margin(self, X):
+        """Sum of alpha-weighted stump votes."""
         X = self._check_fitted_input(X)
-        take = len(self.stumps_) if n_rounds is None else n_rounds
         margin = np.zeros(X.shape[0])
-        for stump, alpha in zip(self.stumps_[:take], self.alphas_[:take]):
+        for stump, alpha in zip(self.stumps_, self.alphas_):
             margin += alpha * (2.0 * stump.values(X) - 1.0)
         return margin
 
@@ -511,11 +528,10 @@ class RealAdaBoost(BinaryClassifier):
             p1 = min(max(float(y.mean()), _PROB_CLIP), 1.0 - _PROB_CLIP)
             self.stumps_.append(_Stump(-1, 0.0, p1, p1))
 
-    def decision_margin(self, X, n_rounds=None):
+    def decision_margin(self, X):
         X = self._check_fitted_input(X)
-        take = len(self.stumps_) if n_rounds is None else n_rounds
         margin = np.zeros(X.shape[0])
-        for stump in self.stumps_[:take]:
+        for stump in self.stumps_:
             probs = np.clip(stump.values(X), _PROB_CLIP, 1.0 - _PROB_CLIP)
             margin += 0.5 * (np.log(probs) - np.log1p(-probs))
         return margin

@@ -2,12 +2,13 @@
 
 Each tree's randomness derives only from (seed, tree index), so fitting is
 reproducible regardless of scheduling. Each feature is argsorted once per
-fit and every tree reads that shared presort; a tree's bootstrap draw
-reaches it as per-row counts, not as a copy of the drawn rows (``tree.py``
-describes how nodes use both). The default score is the fraction of trees
-voting positive; ``probability_mode="leaf_mean"`` averages the per-tree
-leaf class fractions instead, which gives a finer-grained ranking signal
-(used by the instance-hardness undersampler).
+fit, and the larger nodes of every tree read that shared presort. A tree's
+bootstrap draw reaches it as per-row counts, not as a copy of the drawn
+rows, and each node weighs its distinct rows by them (``tree.py``). The
+default score is the fraction of trees voting positive;
+``probability_mode="leaf_mean"`` averages the per-tree leaf class
+fractions instead, which gives a finer-grained ranking signal (used by the
+instance-hardness undersampler).
 """
 
 import numpy as np

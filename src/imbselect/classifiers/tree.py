@@ -7,19 +7,19 @@ explicit stack), which keeps deep trees off the Python recursion limit.
 
 A tree grows from per-row counts over a shared matrix: a forest passes its
 bootstrap draw as counts (how often each row was drawn) instead of copying
-the drawn rows, and a plain fit uses all-one counts. Each feature is
-stable-argsorted once per fit (``presort``), and a forest shares those
-orders across its trees; ``presort_rows`` derives the orders of a subset
-of rows from the full ones, as the instance-hardness undersampler does for
-its fold forests. A node that holds at least 1/``_PRESORT_SHARE``
-of the fit's draws finds each sampled feature's sorted rows by filtering
-the shared order by node membership, which costs O(rows of the fit) per
-feature. A smaller node expands its rows by their counts and argsorts
-per node, as do its descendants: there an O(node) sort is cheaper than an
-O(fit) filter, and filtering at every node made a 7.7k-node tree on
-20,000 rows about 1.6x slower to fit. Both paths give the same tree bit
-for bit: ties among equal values never change a cut position, a count, a
-threshold or the order of random draws.
+the drawn rows, and a plain fit uses all-one counts. Every node holds its
+distinct rows, weighted by their counts. Each feature is stable-argsorted
+once per fit (``presort``), and a forest shares those orders across its
+trees; ``presort_rows`` derives the orders of a subset of rows from the
+full ones, as the instance-hardness undersampler does for its fold
+forests. A node that holds at least 1/``_PRESORT_SHARE`` of the fit's
+draws finds each sampled feature's sorted rows by filtering the shared
+order by node membership, which costs O(rows of the fit) per feature. A
+smaller node argsorts its own rows per feature, as do its descendants:
+there an O(node) sort is cheaper than an O(fit) filter, and filtering at
+every node made a 7.7k-node tree on 20,000 rows about 1.6x slower to fit.
+Both give the same tree bit for bit: ties among equal values never change a
+cut position, a count, a threshold or the order of random draws.
 
 A presorted node with few positive draws evaluates the Gini only at the
 ends of its class runs, the stretches of cuts with the same positive draws
@@ -28,14 +28,16 @@ P positive draws of W, is concave in the left draw count, so the run's
 least value is at one of its ends (Fayyad & Irani, 1992). The runs come
 from the node's positive rows: their values bound the runs, and a binary
 search of each feature's sorted values finds each run's first and last cut.
-Computed values carry rounding, so a run is evaluated at every cut wherever
-the chord between its end values, less ``_GINI_SLACK``, could reach the
-least end of the node. A node with more positive draws per draw than
-``_DENSE_POSITIVES``, where runs are a cut or two long, or with fewer node
-rows times features than ``_RUN_CELLS``, where the fixed cost of the runs
-exceeds the cuts they skip, evaluates every cut. Either way the node takes
-the split an every-cut search takes, with the same bits.
+Computed values carry rounding, so a run whose end values differ by at
+most twice ``_GINI_SLACK`` per draw between them is evaluated at every cut.
+A node with more positive draws per draw than ``_DENSE_POSITIVES``, where
+runs are a cut or two long, or with fewer node rows times features than
+``_RUN_CELLS``, where the fixed cost of the runs exceeds the cuts they
+skip, evaluates every cut. Either way the node takes the split an
+every-cut search takes, with the same bits.
 """
+
+from functools import partial
 
 import numpy as np
 
@@ -46,13 +48,16 @@ _LEAF = -1
 # Nodes holding at least 1/_PRESORT_SHARE of the fit's draws filter the
 # shared presort; smaller ones argsort their own rows.
 _PRESORT_SHARE = 16
-# Rounding slack of the run-end screen. With u = 2**-53 and draw counts
-# exact in floats, each of 1 - a² - b² per side is within 4.5u of exact
-# (a, b <= 1), each product n * g adds 0.5u n, and their sum and the
-# division by n add u: a computed Gini is within 6u of its exact value. The
-# exact Gini of a cut inside a run lies above the chord of the run's exact
-# end values; the computed ends cost 2 * 6u and the chord's arithmetic
-# about 2.5u: 14.5u in all. 2**-47 is 64u, over four times that bound.
+# Rounding slack of the run ends. With u = 2**-53 and draw counts exact in
+# floats, each of 1 - a² - b² per side is within 4.5u of exact (a, b <= 1),
+# each product n * g adds 0.5u n, and their sum and the division by n add
+# u: a computed Gini is within 6u of its exact value. The exact Gini of a
+# cut inside a run lies on or above the chord of the run's exact end
+# values, so at least 1/span of their difference above the lower end, for
+# a span of W draws between the ends. The cut's computed Gini can then reach
+# the computed lower end only where the exact ends differ by at most 12u W,
+# and the computed ends by 12u W + 12u <= 18u W (W >= 2). 2**-47 is 64u:
+# the flat test's 2 * 64u W is over seven times that bound.
 _GINI_SLACK = 2.0 ** -47
 # Run ends or every cut (module docstring). On IHT-like nodes of 2,500 and
 # 10,000 rows with 2 and 4 features, the run-end search broke even between
@@ -96,34 +101,6 @@ def _gini(n_left, pos_left, n, n_pos):
     return (n_left * gini_left + n_right * gini_right) / n
 
 
-class _Chord:
-    """Lower bounds on the Gini inside concave stretches of positions, from
-    the chord between each stretch's end values less its rounding
-    ``slack``. Positions lo and hi carry left weights w_lo and w_hi."""
-
-    def __init__(self, lo, hi, w_lo, w_hi, g_lo, g_hi, slack):
-        self.rising = g_hi >= g_lo
-        # where the chord is lowest, and the way into the stretch from there
-        self.start = np.where(self.rising, lo, hi)
-        self.step = np.where(self.rising, 1, -1)
-        self.w_lo, self.span = w_lo, w_hi - w_lo
-        self.g_lo, self.rise = g_lo, g_hi - g_lo
-        self.slack = slack
-
-    def inward(self, steps):
-        """Positions ``steps`` in from each stretch's lower end."""
-        if np.ndim(steps) == 2:
-            return self.start[:, None] + self.step[:, None] * steps
-        return self.start + self.step * steps
-
-    def reaches(self, w_left, floor, i=slice(None)):
-        """Whether a cut at left weight w_left could have a Gini at or
-        below floor."""
-        span = self.span[i]
-        t = np.divide(w_left - self.w_lo[i], span, out=np.zeros(np.shape(w_left)), where=span > 0)
-        return self.g_lo[i] + self.rise[i] * t - self.slack[i] <= floor
-
-
 def _gini_cuts(xs, cum_pos, n, n_pos, cum_n=None):
     """(weighted child Gini, position) at every value boundary of sorted xs.
 
@@ -142,49 +119,35 @@ def midpoint(xs, c):
     return lo if threshold >= hi else threshold  # adjacent floats: keep it strict
 
 
-def _best_split(X, y, rows, feature_ids):
-    """(weighted_gini, feature, threshold, left_rows, right_rows) or None.
-
-    ``rows`` lists every draw of the node, repeats included.
-    """
-    n = rows.size
-    y_rows = y[rows]
-    n_pos = int(y_rows.sum())
-    best = None
-    best_score = np.inf
-    for f in feature_ids:
-        x = X[rows, f]
-        order = np.argsort(x, kind="stable")
-        xs = x[order]
-        if xs[0] == xs[-1]:
-            continue
-        weighted, cut = _gini_cuts(xs, np.cumsum(y_rows[order]), n, n_pos)
-        k = int(np.argmin(weighted))
-        if weighted[k] < best_score:
-            best_score = weighted[k]
-            c = cut[k]
-            best = (f, midpoint(xs, c), rows[order[: c + 1]], rows[order[c + 1 :]])
-    if best is None:
-        return None
-    return (best_score, *best)
+def _own_sort(X, rows, f):
+    """``rows`` sorted by feature f, and their values."""
+    x = X[rows, f]
+    order = np.argsort(x, kind="stable")
+    return rows[order], x[order]
 
 
-def _best_presorted_split(presorted, member, counts, pos_counts, n, n_pos, feature_ids):
-    """``_best_split`` for a node read from the shared ``presort``, every
-    cut evaluated.
-
-    ``member`` masks the node's rows (None: every row of the fit); float
-    ``counts`` weight them (None: one draw each) and ``pos_counts`` hold
-    their positive draws.
-    """
+def _from_presort(presorted, member, f):
+    """The rows that ``member`` masks (None: every row of the fit) sorted
+    by feature f, and their values, read from the shared ``presort``."""
     orders, values = presorted
+    if member is None:
+        return orders[f], values[f]
+    keep = member[orders[f]]
+    return orders[f].compress(keep), values[f].compress(keep)
+
+
+def _every_cut_split(sorted_by, counts, pos_counts, n, n_pos, feature_ids):
+    """(weighted_gini, feature, threshold, left_rows, right_rows) or None,
+    every cut evaluated.
+
+    ``sorted_by(f)`` gives the node's distinct rows sorted by feature f and
+    their values; float ``counts`` weight them (None: one draw each) and
+    ``pos_counts`` hold their positive draws.
+    """
     best = None
     best_score = np.inf
     for f in feature_ids:
-        node_rows, xs = orders[f], values[f]
-        if member is not None:
-            keep = member[node_rows]
-            node_rows, xs = node_rows.compress(keep), xs.compress(keep)
+        node_rows, xs = sorted_by(f)
         if xs[0] == xs[-1]:
             continue
         cum_n = None if counts is None else np.cumsum(counts[node_rows])
@@ -200,8 +163,9 @@ def _best_presorted_split(presorted, member, counts, pos_counts, n, n_pos, featu
 
 
 def _run_end_split(X, presorted, member, counts, pos_counts, pos_rows, n, n_pos, feature_ids):
-    """``_best_presorted_split`` from the ends of class runs, all features
-    of the node at once; ``pos_rows`` are the node's rows with positive
+    """``_every_cut_split`` from the ends of class runs, all features of a
+    node read from the shared ``presort`` at once. ``member`` masks the
+    node's rows as in ``_from_presort``; ``pos_rows`` are those with positive
     draws."""
     orders, values = presorted
     lines = np.arange(len(feature_ids))[:, None]
@@ -249,22 +213,12 @@ def _run_end_split(X, presorted, member, counts, pos_counts, pos_rows, n, n_pos,
     value = gini.min(axis=1)
     value[ruled_out] = np.inf
     at = np.where(gini[:, 1] < gini[:, 0], last, first)
-    # inside a run the chord lies at least |rise| / span above the lower
-    # end, as a cut there has a draw more than the run's first cut and one
-    # fewer than its last: only a run rising less than twice the slack over
-    # its draws can reach the floor, so only those go to the chord test
+    # inside a run the chord of its ends lies at least |rise| / span above
+    # the lower end, as a cut there has a draw more than the run's first cut
+    # and one fewer than its last: only a run rising less than twice the
+    # slack over its draws can have a cut inside reach its ends
     flat = np.abs(gini[:, 1] - gini[:, 0]) <= 2.0 * _GINI_SLACK * (n_ends[:, 1] - n_ends[:, 0])
     inner = np.nonzero(flat & (last - first > 1))
-    if inner[0].size:
-        g_first, g_last = gini[:, 0][inner], gini[:, 1][inner]
-        slack = np.full(g_first.shape, _GINI_SLACK)
-        chord = _Chord(
-            first[inner], last[inner], n_ends[:, 0][inner], n_ends[:, 1][inner], g_first, g_last, slack
-        )
-        probe = chord.inward(1)
-        n_probe = probe + 1.0 if cum_n is None else cum_n[inner[0], probe]
-        near = chord.reaches(n_probe, value.min())
-        inner = (inner[0][near], inner[1][near])
     for i, r in zip(*inner):
         lo, hi = first[i, r], last[i, r]
         cut = lo + np.flatnonzero(xs[i, lo + 1 : hi + 2] > xs[i, lo : hi + 1])
@@ -311,8 +265,7 @@ class DecisionTreeClassifier(BinaryClassifier):
         ``presort(X)``. Neither is kept on the fitted tree."""
         p = X.shape[1]
         rng = derive_rng(self.seed, "feature_subsets") if self.max_features else None
-        # float running sums of integer counts are exact, and the same
-        # numbers as the integer sums the per-node path takes
+        # float running sums of integer counts are exact
         pos_weights = counts * y.astype(np.float64)
         weights = None if counts.max() == 1 else counts.astype(np.float64)
         total = int(counts.sum())
@@ -330,37 +283,29 @@ class DecisionTreeClassifier(BinaryClassifier):
             prob.append(0.0)
             return len(feature) - 1
 
-        # nodes read from the presort hold distinct rows weighted by counts;
-        # the others list every draw, so their rows repeat
-        stack = [(np.flatnonzero(counts), 0, 0, True)]
+        stack = [(np.flatnonzero(counts), 0, 0)]
         while stack:
-            rows, depth, nid, from_presort = stack.pop()
-            if from_presort:
-                n = int(counts[rows].sum())
-                n_pos = int(pos_weights[rows].sum())
-                if n * _PRESORT_SHARE < total:
-                    rows = np.repeat(rows, counts[rows])
-                    from_presort = False
-            else:
-                n = rows.size
-                n_pos = int(y[rows].sum())
+            rows, depth, nid = stack.pop()
+            n = int(counts[rows].sum())
+            n_pos = int(pos_weights[rows].sum())
             at_cap = self.max_depth is not None and depth >= self.max_depth
             split = None
             if not at_cap and 0 < n_pos < n and n >= self.min_samples_split:
                 feats = self._feature_ids(p, rng)
-                if from_presort:
+                if n * _PRESORT_SHARE < total:
+                    search = _every_cut_split
+                    node = (partial(_own_sort, X, rows), weights, pos_weights, n, n_pos)
+                else:
                     member = None
                     if rows.size < X.shape[0]:
                         member = np.zeros(X.shape[0], dtype=bool)
                         member[rows] = True
-                    search = _best_presorted_split
-                    node = (presorted, member, weights, pos_weights, n, n_pos)
+                    search = _every_cut_split
+                    node = (partial(_from_presort, presorted, member), weights, pos_weights, n, n_pos)
                     if n_pos <= _DENSE_POSITIVES * n and rows.size * feats.size >= _RUN_CELLS:
                         search = _run_end_split
                         pos_rows = rows[pos_weights[rows] > 0]
                         node = (X, presorted, member, weights, pos_weights, pos_rows, n, n_pos)
-                else:
-                    search, node = _best_split, (X, y, rows)
                 split = search(*node, feats)
                 if split is None and feats.size < p:
                     # sampled features were constant here: look at the rest
@@ -377,8 +322,8 @@ class DecisionTreeClassifier(BinaryClassifier):
             left[nid] = lid = new_node()
             right[nid] = rid = new_node()
             # left pushed last so it is processed first: stable node numbering
-            stack.append((right_rows, depth + 1, rid, from_presort))
-            stack.append((left_rows, depth + 1, lid, from_presort))
+            stack.append((right_rows, depth + 1, rid))
+            stack.append((left_rows, depth + 1, lid))
 
         self.feature_ = np.asarray(feature, dtype=np.int64)
         self.threshold_ = np.asarray(threshold)

@@ -113,7 +113,11 @@ def cmd_run(args):
         return 3
 
     grid = config.grid
-    split = stratified_split(dataset.labels, grid.test_fraction, seed=grid.master_seed)
+    try:
+        split = stratified_split(dataset.labels, grid.test_fraction, seed=grid.master_seed)
+    except ValueError as exc:
+        print(f"dataset error: {exc}", file=sys.stderr)
+        return 3
     train = dataset.subset(split.train_idx)
     test = dataset.subset(split.test_idx)
     started = _lap(setup_seconds, "split", started)

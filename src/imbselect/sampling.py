@@ -200,11 +200,9 @@ def adasyn_generation_counts(hardness, total):
     index). Zero hardness everywhere falls back to uniform weights."""
     hardness = np.asarray(hardness, dtype=np.float64)
     if total == 0:
-        return np.zeros(len(hardness), dtype=np.int64), False
-    fallback = False
+        return np.zeros(len(hardness), dtype=np.int64)
     if hardness.sum() == 0.0:
         hardness = np.ones_like(hardness)
-        fallback = True
     weights = hardness / hardness.sum()
     raw = weights * total
     counts = np.floor(raw).astype(np.int64)
@@ -212,7 +210,7 @@ def adasyn_generation_counts(hardness, total):
     if short > 0:
         remainder_order = np.argsort(-(raw - counts), kind="stable")
         counts[remainder_order[:short]] += 1
-    return counts, fallback
+    return counts
 
 
 class Adasyn(BaseEstimator):
@@ -240,9 +238,7 @@ class Adasyn(BaseEstimator):
         require_both_classes(y, "resampling")
         pos_idx, neg_idx = _class_indices(y)
         total = _oversample_new_count(len(pos_idx), len(neg_idx), self.target_ratio)
-        counts, self.uniform_fallback_ = adasyn_generation_counts(
-            self._hardness(X, y, pos_idx), total
-        )
+        counts = adasyn_generation_counts(self._hardness(X, y, pos_idx), total)
         minority = X[pos_idx]
         neighbors = _minority_neighbor_table(minority, self.k_neighbors)
         rng = derive_rng(self.seed, "adasyn")

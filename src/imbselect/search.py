@@ -212,12 +212,6 @@ class Leaderboard:
     records: tuple
     metric_key: str
 
-    def top(self, k):
-        ok = [r for r in self.records if r.ok]
-        if len(ok) < k:
-            raise ValueError(f"only {len(ok)} evaluated cells, cannot take top {k}")
-        return ok[:k]
-
 
 def rank(records, metric_key):
     """Total order: metric descending, failed cells last.
@@ -250,7 +244,8 @@ def build_ensemble(top, record, cfg):
     """Fold one cell record into ``top``, the running top-k vote members.
 
     Records arrive in grid order and the sort is stable, so ties keep
-    their grid order: ``top`` always equals ``rank(seen).top(k)``.
+    their grid order: ``top`` always equals the first k evaluated records
+    of ``rank(seen)``.
     """
     if not record.ok:
         return top

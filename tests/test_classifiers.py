@@ -306,11 +306,13 @@ def test_adaboost_single_stump_scores_saturate():
 def test_adaboost_weak_learner_error_bound_and_monotone_training_error():
     X, y = blob_data(n=150, separation=2.2, seed=13)
     model = DiscreteAdaBoost(n_rounds=25).fit(X, y)
-    assert all(err <= 0.5 for err in model.stump_errors_)
+    # alpha = ln((1 - err) / err) / 2 is positive exactly when err < 0.5
+    assert all(alpha > 0.0 for alpha in model.alphas_)
     errors = []
-    for rounds in range(1, len(model.stumps_) + 1):
-        pred = (model.decision_margin(X, rounds) >= 0.0).astype(int)
-        errors.append((pred != y).mean())
+    margin = np.zeros(X.shape[0])
+    for stump, alpha in zip(model.stumps_, model.alphas_):
+        margin += alpha * (2.0 * stump.values(X) - 1.0)
+        errors.append(((margin >= 0.0).astype(int) != y).mean())
     assert errors[-1] <= errors[0] + 1e-12
 
 
@@ -590,6 +592,31 @@ def test_presorted_forest_trees_match_reference(problem, max_depth, max_features
     assert_forest_trees_match_reference(X, y, max_depth, max_features, bootstrap, seed, patch)
 
 
+@settings(max_examples=60, deadline=None)
+@given(
+    problem=tree_problems(),
+    data=st.data(),
+    max_depth=st.sampled_from([None, 2]),
+    max_features=st.sampled_from([None, "sqrt", 1]),
+    share=st.sampled_from([1, tree_module._PRESORT_SHARE, 10**9]),
+    search=st.sampled_from(list(SEARCHES)),
+    seed=st.integers(0, 2**31),
+)
+def test_tree_grown_from_draw_counts_matches_reference(problem, data, max_depth, max_features, share, search, seed):
+    # arbitrary draw counts, zeros and up to 50 included, where forests
+    # only ever pass bootstrap counts
+    X, y = problem
+    counts = np.array(data.draw(st.lists(
+        st.one_of(st.just(0), st.integers(1, 3), st.integers(1, 50)), min_size=y.size, max_size=y.size
+    )), dtype=np.int64)
+    counts[data.draw(st.integers(0, y.size - 1))] += 1  # at least one draw
+    with searching(search, share):
+        tree = DecisionTreeClassifier(max_depth=max_depth, max_features=max_features, seed=seed)
+        tree._grow(X, y, counts, tree_module.presort(X))
+    idx = np.repeat(np.arange(y.size), counts)
+    assert_same_tree(tree, reference_cart(X[idx], y[idx], max_depth, max_features, seed))
+
+
 @st.composite
 def sparse_tree_problems(draw):
     """1-8 positives in 50-2,000 rows, with tied values, constant columns
@@ -646,7 +673,7 @@ def test_sparse_positive_forest_trees_match_reference(problem, max_features, sha
     # one positive above a run of negatives whose middle rows carry 2 and 3
     # draws beside rows carrying ~4e14: the run's last two cuts tie to the
     # bit, so the interior one must win over the run's last cut (2.5); only
-    # the chord screen's slack sends the search into the run
+    # the slack of the flat-run test sends the search into the run
     ([0, 0, 0, 1, 0], [414158747367174, 2, 3, 17959927500807, 372227461735554], 1.5),
 ])
 def test_run_end_search_breaks_ties_to_the_earlier_cut(y, counts, threshold):
@@ -658,8 +685,7 @@ def test_run_end_search_breaks_ties_to_the_earlier_cut(y, counts, threshold):
     assert np.count_nonzero(gini == gini.min()) == 2
     trees = {}
     for search in ("runs", "every_cut"):
-        # the huge counts must stay on the presort: never expand them
-        with searching(search, 10**9):
+        with searching(search, tree_module._PRESORT_SHARE):
             trees[search] = DecisionTreeClassifier(max_depth=1)
             trees[search]._grow(X, y, counts, tree_module.presort(X))
     assert trees["every_cut"].threshold_[0] == threshold
@@ -1015,7 +1041,6 @@ def test_adaboost_fits_match_full_scan_fits(case, n_rounds, scan_runs_per_cut):
             assert_same_stump(stump_tuple(ours), stump_tuple(theirs))
         if cls is DiscreteAdaBoost:
             assert_same_bits(model.alphas_, reference.alphas_)
-            assert_same_bits(model.stump_errors_, reference.stump_errors_)
 
 
 def test_real_adaboost_fit_holds_little_beyond_its_input():

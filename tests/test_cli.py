@@ -255,6 +255,18 @@ class TestRun:
         fixture_csv.write_text(header, encoding="utf-8")  # header, zero rows
         assert main(["run", "--config", str(config)]) == 3
 
+    @pytest.mark.parametrize("n_positive, test_fraction", [(1, "0.25"), (3, "0.1")])
+    def test_unsplittable_dataset_is_dataset_error(self, tmp_path, capsys, n_positive, test_fraction):
+        # a class of one row cannot be split; three positives at 0.1 leave
+        # the positive side of the test split empty
+        path = tmp_path / "tiny.csv"
+        rows = [f"{i}.0,{i % 3}.5,{i % 2}.0,1.0,{int(i < n_positive)}" for i in range(6 + n_positive)]
+        path.write_text("Time,V1,V2,Amount,Class\n" + "\n".join(rows) + "\n", encoding="utf-8")
+        config = write_config(tmp_path, path, dims="2", test_fraction=test_fraction)
+        assert main(["run", "--config", str(config)]) == 3
+        err = capsys.readouterr().err
+        assert err.startswith("dataset error: ") and "Traceback" not in err
+
     def test_checksum_mismatch_is_dataset_error(self, tmp_path, fixture_csv):
         config = write_config(tmp_path, fixture_csv)
         text = config.read_text() + "\n"

@@ -237,12 +237,11 @@ class TestAdasyn:
         assert np.all(hardness[2:] == 0.0)
 
     def test_uniform_fallback_when_no_majority_neighbors(self):
-        counts, fallback = adasyn_generation_counts(np.zeros(4), 8)
-        assert fallback
+        counts = adasyn_generation_counts(np.zeros(4), 8)
         assert counts.tolist() == [2, 2, 2, 2]
 
     def test_counts_sum_exactly(self):
-        counts, _ = adasyn_generation_counts([0.7, 0.2, 0.1], 10)
+        counts = adasyn_generation_counts([0.7, 0.2, 0.1], 10)
         assert counts.sum() == 10
         assert counts[0] >= counts[1] >= counts[2]
 

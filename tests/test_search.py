@@ -69,6 +69,11 @@ def small_config(**overrides):
     return GridConfig(**defaults)
 
 
+def top_records(leaderboard, k):
+    """The first k evaluated records of a ranked leaderboard."""
+    return [r for r in leaderboard.records if r.ok][:k]
+
+
 def fake_record(label, f1, time_s=1.0, dims=1, index=0, status="ok"):
     metrics = None
     if status == "ok":
@@ -325,7 +330,7 @@ class TestRunSearch:
             if r.cell is not None
         ]
         assert len(keys) == len(set(keys)) == 12
-        top = result.leaderboard.top(3)
+        top = top_records(result.leaderboard, 3)
         assert len({(r.cell.dims, r.sampler_label, r.model_label) for r in top}) == 3
 
     def test_worker_counts_agree(self):
@@ -391,7 +396,7 @@ def test_build_ensemble_members_use_own_pipelines():
     members = []
     for record in records:
         members = build_ensemble(members, record, cfg)
-    top = rank(records, cfg.metric_key).top(3)
+    top = top_records(rank(records, cfg.metric_key), 3)
     assert [member.cell for member in members] == [record.cell for record in top]
     assert {member.cell.dims for member in members} <= {2, 4}
     record = evaluate_ensemble(members, "hard", test, seed_used=0)
@@ -506,7 +511,7 @@ def test_votes_equal_refit_reference(grid, workers):
     train, test = split_fixture(fixture_dataset(seed=6, encoded=grid == "encoded"))
     cfg = small_config(**VOTE_GRIDS[grid])
     result = run_search(train, test, cfg, workers=workers)
-    top = rank(result.cell_records, cfg.metric_key).top(cfg.top_k)
+    top = top_records(rank(result.cell_records, cfg.metric_key), cfg.top_k)
     expected = reference_votes(train, test, cfg, top)
     for row in result.ensemble_records:
         mode = row.model_label.removeprefix("vote_")
@@ -540,7 +545,7 @@ def test_only_the_vote_members_keep_scores(monkeypatch, workers):
     assert cfg.grid_size == 12 and len(voted) == 2
     for record in list(result.cell_records) + list(result.leaderboard.records):
         assert record.test_scores is None
-    top = result.leaderboard.top(cfg.top_k)
+    top = top_records(result.leaderboard, cfg.top_k)
     assert [r.cell.index for r in top] == [0, 1, 2]
     for members in voted:
         assert [m.cell for m in members] == [r.cell for r in top]
@@ -570,5 +575,4 @@ def test_running_top_k_equals_rank_top(rows, k):
     top = []
     for record in records:
         top = build_ensemble(top, record, cfg)
-    ranked = [r for r in rank(records, "f1").records if r.ok][:k]
-    assert [id(r) for r in top] == [id(r) for r in ranked]
+    assert [id(r) for r in top] == [id(r) for r in top_records(rank(records, "f1"), k)]
