@@ -460,6 +460,8 @@ class DiscreteAdaBoost(BinaryClassifier):
     supports_probability = True
 
     def __init__(self, n_rounds=50):
+        if n_rounds < 1:
+            raise ValueError("n_rounds must be >= 1")
         self.n_rounds = n_rounds
 
     def _fit(self, X, y):
@@ -505,6 +507,8 @@ class RealAdaBoost(BinaryClassifier):
     supports_probability = True
 
     def __init__(self, n_rounds=50):
+        if n_rounds < 1:
+            raise ValueError("n_rounds must be >= 1")
         self.n_rounds = n_rounds
 
     def _fit(self, X, y):

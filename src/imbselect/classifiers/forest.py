@@ -15,7 +15,7 @@ import numpy as np
 
 from ..base import derive_rng, derive_seed
 from .base import BinaryClassifier
-from .tree import DecisionTreeClassifier, presort
+from .tree import DecisionTreeClassifier, check_tree_options, presort
 
 
 class RandomForestClassifier(BinaryClassifier):
@@ -34,6 +34,7 @@ class RandomForestClassifier(BinaryClassifier):
             raise ValueError("n_trees must be >= 1")
         if probability_mode not in ("vote", "leaf_mean"):
             raise ValueError(f"unknown probability_mode {probability_mode!r}")
+        check_tree_options(max_depth, max_features)
         self.n_trees = n_trees
         self.max_depth = max_depth
         self.max_features = max_features

@@ -15,12 +15,10 @@ hard-voting row).
 """
 
 import configparser
-import csv
 import dataclasses
-import os
 
 from .classifiers import ClassifierSpec
-from .dataset import DatasetError, parse_header
+from .dataset import DatasetError, check_utf8, parse_header, read_header
 from .metrics import METRIC_KEYS
 from .sampling import SamplerSpec
 from .search import GridConfig, clamp_dims, usable_width
@@ -116,21 +114,23 @@ def _layout_errors(parser):
 
 def load_config(path, overrides=None):
     """Parsed RunConfig plus warnings; raises ConfigError on any error."""
-    errors, warnings, config = _read(path, overrides or {})
+    errors, warnings, config = _read(path, overrides or {}, whole_file=False)
     if errors:
         raise ConfigError("; ".join(errors))
     return config, warnings
 
 
 def validate_config(path, overrides=None):
-    """Every problem found, prefixed with its severity; no side effects."""
-    errors, warnings, _ = _read(path, overrides or {})
+    """Every problem found, prefixed with its severity; no side effects.
+    Unlike a run's own check, this also reads every dataset line once to
+    find bytes that are not UTF-8; a run reports those as a dataset error."""
+    errors, warnings, _ = _read(path, overrides or {}, whole_file=True)
     return [f"error: {text}" for text in errors] + [
         f"warning: {text}" for text in warnings
     ]
 
 
-def _read(path, overrides):
+def _read(path, overrides, whole_file):
     errors = []
     warnings = []
     parser = configparser.ConfigParser()
@@ -165,6 +165,11 @@ def _read(path, overrides):
     standardize_columns = tuple(_parse_list(ds.get("standardize_columns", "")))
     keep_raw_columns = tuple(_parse_list(ds.get("keep_raw_columns", "")))
     expected_sha256 = ds.get("sha256", "").strip()
+    if not pre_encoded:
+        # only the V<n> slice reads these; the PCA path would drop them unseen
+        for key in ("encoded_prefix", "keep_raw_columns"):
+            if key in ds:
+                errors.append(f"[dataset] {key} is read only when pre_encoded = true")
 
     try:
         dims_list = _parse_dims(grid_section.get("dims", ""))
@@ -258,7 +263,7 @@ def _read(path, overrides):
 
     ds_errors, width = _dataset_diagnostics(
         dataset_path, label_column, pre_encoded, encoded_prefix,
-        standardize_columns, keep_raw_columns,
+        standardize_columns, keep_raw_columns, whole_file,
     )
     errors.extend(ds_errors)
 
@@ -301,29 +306,24 @@ def _read(path, overrides):
 
 
 def _dataset_diagnostics(path, label_column, pre_encoded, prefix,
-                         standardize_columns, keep_raw_columns):
-    """Header-only checks; the dataset body is not read here. Also returns
-    the width dims are clamped to, or 0 when the header cannot tell."""
+                         standardize_columns, keep_raw_columns, whole_file):
+    """Header checks, plus a UTF-8 check of every line when ``whole_file``;
+    the cells are not read here. Also returns the width dims are clamped
+    to, or 0 when the header cannot tell."""
     errors = []
     if not path or not label_column:
         return errors, 0
-    if not os.path.exists(path):
-        errors.append(f"dataset file not found: {path}")
-        return errors, 0
     try:
-        with open(path, newline="", encoding="utf-8") as handle:
-            header = next(csv.reader(handle), None)
-    except OSError as exc:
-        errors.append(f"dataset file unreadable: {exc}")
-        return errors, 0
-    if not header:
-        errors.append(f"dataset file has no header row: {path}")
-        return errors, 0
-    try:
+        header, _ = read_header(path)
         _, features = parse_header(header, label_column)
     except DatasetError as exc:
         errors.append(str(exc))
         return errors, 0
+    if whole_file:
+        try:
+            check_utf8(path)
+        except DatasetError as exc:
+            errors.append(str(exc))
     for name in list(standardize_columns) + list(keep_raw_columns):
         if name not in features:
             errors.append(f"column {name!r} not in dataset header")

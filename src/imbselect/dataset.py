@@ -9,6 +9,7 @@ Label 1 is always the positive/minority class.
 """
 
 import csv
+import functools
 import math
 import warnings
 from array import array
@@ -80,14 +81,74 @@ class Dataset:
         return self.features[:, j]
 
 
+def _is_number(label):
+    return isinstance(label, (int, float)) and not isinstance(label, bool)
+
+
 def _cell_is_positive(cell, positive_label):
     text = cell.strip()
-    if isinstance(positive_label, (int, float)) and not isinstance(positive_label, bool):
+    if _is_number(positive_label):
         try:
             return float(text) == float(positive_label)
         except ValueError:
             return False
     return text == str(positive_label)
+
+
+def _not_utf8(cells):
+    """Index of the first cell holding bytes that are not UTF-8, or None.
+
+    The row parser decodes with ``surrogateescape``, so such bytes arrive
+    as lone surrogates, which only a strict encode refuses."""
+    for j, cell in enumerate(cells):
+        if not cell.isascii():
+            try:
+                cell.encode("utf-8")
+            except UnicodeEncodeError:
+                return j
+    return None
+
+
+def _raw(cell):
+    return cell.encode("utf-8", "surrogateescape")
+
+
+def read_header(path):
+    """The header row's cells and the number of lines it spans.
+
+    Only the header is checked: bytes that are not UTF-8 further down do
+    not stop it. Raises DatasetError when the file is missing or unreadable,
+    is empty, or its header is not UTF-8.
+    """
+    try:
+        handle = open(path, newline="", encoding="utf-8", errors="surrogateescape")
+    except FileNotFoundError:
+        raise DatasetError(f"dataset file not found: {path}") from None
+    except OSError as exc:
+        raise DatasetError(f"dataset file unreadable: {exc}") from None
+    with handle:
+        reader = csv.reader(handle)
+        header = next(reader, None)
+        lines = reader.line_num
+    if header is None:
+        raise DatasetError(f"empty dataset: {path} has no header row")
+    j = _not_utf8(header)
+    if j is not None:
+        raise DatasetError(f"header cell {j + 1} is not UTF-8: {_raw(header[j])!r}")
+    return header, lines
+
+
+def check_utf8(path):
+    """Raise DatasetError naming the first line of ``path`` that is not UTF-8."""
+    with open(path, "rb") as handle:
+        for line_no, line in enumerate(handle, start=1):
+            try:
+                line.decode("utf-8")
+            except UnicodeDecodeError as exc:
+                raise DatasetError(
+                    f"line {line_no} of {path} is not UTF-8: "
+                    f"{line[exc.start : exc.end]!r} at byte {exc.start + 1}"
+                ) from None
 
 
 def parse_header(header, label_column):
@@ -128,53 +189,116 @@ def _parse_cells(cells, row_no, feature_names):
     return values
 
 
+# rows moved per step when the label column is cut out of the bulk matrix;
+# the step's copy (1024 rows of 30 floats, 240 kB) is all the extra memory
+_MOVE_ROWS = 1024
+
+
+def _drop_column(values, j):
+    """``values`` without column ``j``, moved up inside its own buffer."""
+    n, width = values.shape
+    flat = values.reshape(-1)
+    for start in range(0, n, _MOVE_ROWS):
+        # a copy, taken before these rows are overwritten; the rows written
+        # end before the next step's rows begin
+        block = np.delete(values[start : start + _MOVE_ROWS], j, axis=1)
+        at = start * (width - 1)
+        flat[at : at + block.size] = block.ravel()
+    return flat[: n * (width - 1)].reshape(n, width - 1)
+
+
+def _read_bulk(path, skip_lines, width, label_idx, positive_label):
+    """Features and labels from numpy's C reader, or None where it gives up.
+
+    numpy splits lines, quotes and cells as ``csv`` does, and every float
+    text it accepts is one ``float`` accepts, with the same bits. Where the
+    two can part ways, this returns None and the row parser decides: any
+    ValueError or warning (bad bytes, a text numpy refuses, a short or long
+    row, no rows), a non-finite feature, or a line break inside a label
+    cell matched as text (numpy's reader turns a quoted ``\\r`` into ``\\n``).
+    """
+    if _is_number(positive_label):
+        # a label text numpy parses is one float() parses to the same value
+        converters, positive = None, float(positive_label)
+    else:
+
+        @functools.cache
+        def label_value(text):
+            if "\n" in text:
+                raise ValueError("line break in a label cell")
+            return _cell_is_positive(text, positive_label)
+
+        converters, positive = {label_idx: label_value}, 1.0
+    try:
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            values = np.loadtxt(
+                path, delimiter=",", comments=None, quotechar='"',
+                skiprows=skip_lines, encoding="utf-8", ndmin=2,
+                converters=converters,
+            )
+    except (ValueError, Warning):
+        return None
+    # without usecols, numpy refuses a row whose width differs from the
+    # first row's; the first row's must be the header's
+    if values.shape[1] != width:
+        return None
+    # the labels first: the move overwrites their column
+    labels = (values[:, label_idx] == positive).astype(np.int64)
+    features = _drop_column(values, label_idx)
+    if not np.isfinite(features).all():
+        return None
+    return features, labels
+
+
+def _read_rows(path, header, label_idx, feature_names, positive_label):
+    """The row parser: every cell through ``float``, in file order, so the
+    first bad row or cell is the one reported."""
+    features = array("d")
+    labels = array("q")
+    width = len(header)
+    with open(path, newline="", encoding="utf-8", errors="surrogateescape") as handle:
+        reader = csv.reader(handle)
+        next(reader)
+        for row_no, row in enumerate(reader, start=2):
+            if not row:
+                continue
+            if len(row) != width:
+                raise DatasetError(
+                    f"row {row_no}: expected {width} cells, got {len(row)}"
+                )
+            j = _not_utf8(row)
+            if j is not None:
+                raise DatasetError(
+                    f"bytes that are not UTF-8 at row {row_no}, column {header[j].strip()!r}: "
+                    f"{_raw(row[j])!r}"
+                )
+            label_cell = row.pop(label_idx)
+            features.fromlist(_parse_cells(row, row_no, feature_names))
+            labels.append(_cell_is_positive(label_cell, positive_label))
+    labels = np.frombuffer(labels, dtype=np.int64)
+    features = np.frombuffer(features, dtype=np.float64)
+    return features.reshape(labels.shape[0], len(feature_names)), labels
+
+
 def load_csv(path, label_column, positive_label=1):
     """Read a headered CSV into a Dataset.
 
     Every non-label cell must parse with Python's ``float`` to a finite
     number; the first bad cell in file order is the one reported. Header
     names must be unique. Rows whose label cell equals ``positive_label``
-    map to 1, everything else to 0.
+    map to 1, everything else to 0. numpy's C reader parses the file; the
+    row parser runs only where numpy's reader gives up, and either accepts
+    the file with the same values or reports its first bad cell.
     """
-    try:
-        handle = open(path, newline="", encoding="utf-8")
-    except FileNotFoundError:
-        raise DatasetError(f"dataset file not found: {path}") from None
-    with handle:
-        reader = csv.reader(handle)
-        try:
-            header = next(reader)
-        except StopIteration:
-            raise DatasetError(f"empty dataset: {path} has no header row") from None
-        label_idx, feature_names = parse_header(header, label_column)
+    header, header_lines = read_header(path)
+    label_idx, feature_names = parse_header(header, label_column)
+    features, labels = _read_bulk(
+        path, header_lines, len(header), label_idx, positive_label
+    ) or _read_rows(path, header, label_idx, feature_names, positive_label)
 
-        # one flat buffer, filled a row at a time; a row that fails the
-        # cheap whole-row check is parsed again cell by cell, which raises
-        # the exact error or accepts a finite row whose sum overflowed
-        features = array("d")
-        labels = array("q")
-        for row_no, row in enumerate(reader, start=2):
-            if not row:
-                continue
-            if len(row) != len(header):
-                raise DatasetError(
-                    f"row {row_no}: expected {len(header)} cells, got {len(row)}"
-                )
-            label_cell = row.pop(label_idx)
-            try:
-                values = list(map(float, row))
-                finite = math.isfinite(sum(values))
-            except ValueError:
-                finite = False
-            if not finite:
-                values = _parse_cells(row, row_no, feature_names)
-            features.fromlist(values)
-            labels.append(_cell_is_positive(label_cell, positive_label))
-
-    if not labels:
+    if not labels.shape[0]:
         raise DatasetError(f"empty dataset: {path} has a header but no rows")
-
-    labels = freeze(np.frombuffer(labels, dtype=np.int64))
     n_pos = int(labels.sum())
     if n_pos > labels.shape[0] - n_pos:
         warnings.warn(
@@ -182,11 +306,8 @@ def load_csv(path, label_column, positive_label=1):
             "label 1 is expected to be the minority",
             stacklevel=2,
         )
-    features = freeze(np.frombuffer(features, dtype=np.float64))
     return Dataset(
-        features=features.reshape(labels.shape[0], len(feature_names)),
-        labels=labels,
-        feature_names=feature_names,
+        features=freeze(features), labels=freeze(labels), feature_names=feature_names
     )
 
 

@@ -367,6 +367,13 @@ def test_spec_rejects_unknown_option():
         (Perceptron, {"learning_rate": 0.0}, "learning_rate > 0"),
         (HingeSGD, {"eta0": 0.0}, "eta0 must be > 0"),
         (PassiveAggressive, {"epochs": 0}, "epochs >= 1"),
+        (DecisionTreeClassifier, {"max_depth": 0}, "max_depth must be None or an int >= 1"),
+        (RandomForestClassifier, {"max_depth": -1}, "max_depth must be None or an int >= 1"),
+        (RandomForestClassifier, {"max_features": "log2"}, "max_features must be None, 'sqrt'"),
+        (DecisionTreeClassifier, {"max_features": 0}, "max_features must be None, 'sqrt'"),
+        (DecisionTreeClassifier, {"max_features": True}, "max_features must be None, 'sqrt'"),
+        (DiscreteAdaBoost, {"n_rounds": 0}, "n_rounds must be >= 1"),
+        (RealAdaBoost, {"n_rounds": -3}, "n_rounds must be >= 1"),
     ],
 )
 def test_constructors_check_ranges(cls, params, message):

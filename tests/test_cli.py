@@ -438,9 +438,26 @@ def test_misspelt_key_or_section_is_config_error(
             "[classifier.sgd_hinge]\neta0 = 0",
             "l2 and eta0 must be > 0, epochs >= 1",
         ),
+        # options that fail every fit, or leave nothing to fit
+        (
+            {"classifiers": "random_forest"},
+            "[classifier.random_forest]\nmax_features = log2",
+            "max_features must be None, 'sqrt' or an int >= 1, got 'log2'",
+        ),
+        (
+            {"classifiers": "adaboost_real"},
+            "[classifier.adaboost_real]\nn_rounds = -3",
+            "n_rounds must be >= 1",
+        ),
+        (
+            {"classifiers": "decision_tree"},
+            "[classifier.decision_tree]\nmax_depth = 0",
+            "max_depth must be None or an int >= 1, got 0",
+        ),
     ],
     ids=["smote-k_neigbors", "smote-target_ratio", "knn-kk", "knn-k", "forest-n_trees",
-         "sgd_hinge-eta0"],
+         "sgd_hinge-eta0", "forest-max_features", "adaboost_real-n_rounds",
+         "decision_tree-max_depth"],
 )
 def test_bad_override_section_is_config_error(
     tmp_path, fixture_csv, capsys, grid, text, message
@@ -454,6 +471,52 @@ def test_bad_override_section_is_config_error(
     assert f"error: {message}" in capsys.readouterr().out
     assert main(["run", "--config", str(config)]) == 2
     assert message in capsys.readouterr().err
+    assert not (tmp_path / "out").exists()
+
+
+@pytest.mark.parametrize(
+    "line", ["keep_raw_columns = Time, Amount", "encoded_prefix = V"],
+    ids=["keep_raw_columns", "encoded_prefix"],
+)
+def test_encoded_only_key_on_the_pca_path_is_config_error(tmp_path, fixture_csv, capsys, line):
+    # the PCA path never reads these keys, so a run would quietly drop them
+    config = write_config(tmp_path, fixture_csv)
+    body = config.read_text(encoding="utf-8")
+    config.write_text(
+        body.replace("pre_encoded = true\n", f"pre_encoded = false\n{line}\n"),
+        encoding="utf-8",
+    )
+    key = line.split(" =")[0]
+    message = f"[dataset] {key} is read only when pre_encoded = true"
+    assert main(["validate", "--config", str(config)]) == 2
+    assert f"error: {message}" in capsys.readouterr().out.splitlines()
+    assert main(["run", "--config", str(config)]) == 2
+    assert message in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("where", ["header", "row"])
+def test_bytes_that_are_not_utf8_are_reported(tmp_path, fixture_csv, capsys, where):
+    # the bad byte sits inside the first block a text reader decodes
+    data = fixture_csv.read_bytes()
+    header_end = data.index(b"\n")
+    if where == "header":
+        data = data[:3] + b"\xff" + data[3:]
+    else:
+        data = data[: header_end + 3] + b"\xff" + data[header_end + 3 :]
+    fixture_csv.write_bytes(data)
+    config = write_config(tmp_path, fixture_csv)
+    assert main(["validate", "--config", str(config)]) == 2
+    out = capsys.readouterr().out
+    assert out.startswith("error: ") and "not UTF-8" in out
+    code = main(["run", "--config", str(config)])
+    err = capsys.readouterr().err
+    assert "not UTF-8" in err and "Traceback" not in err
+    if where == "header":
+        # a header problem is a config error, as a missing label column is
+        assert code == 2 and err.startswith("config error: ")
+    else:
+        assert code == 3 and err.startswith("dataset error: ")
+        assert "row 2, column 'Time'" in err
     assert not (tmp_path / "out").exists()
 
 

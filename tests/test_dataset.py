@@ -8,6 +8,7 @@ import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
+from imbselect import dataset
 from imbselect.dataset import (
     ColumnStandardizer,
     Dataset,
@@ -95,6 +96,30 @@ class TestLoadCsv:
         with pytest.warns(UserWarning, match="minority"):
             load_csv(path, label_column="Class")
 
+
+    @pytest.mark.parametrize("row", ["1,0,5", "1,0,"])
+    def test_row_longer_than_header_is_rejected(self, tmp_path, row):
+        path = write_csv(tmp_path / "long.csv", f"a,Class\n2,0\n{row}\n3,1\n")
+        with pytest.raises(DatasetError, match="row 3: expected 2 cells, got 3"):
+            load_csv(path, label_column="Class")
+
+    def test_bytes_that_are_not_utf8_name_row_and_column(self, tmp_path):
+        path = tmp_path / "latin.csv"
+        path.write_bytes(b"a,b,Class\n1,2,0\n3,\xff4,1\n5,6,0\n")
+        with pytest.raises(DatasetError, match=r"not UTF-8 at row 3, column 'b': b'\\xff4'"):
+            load_csv(path, label_column="Class")
+
+    def test_header_that_is_not_utf8_is_rejected(self, tmp_path):
+        path = tmp_path / "latin.csv"
+        path.write_bytes(b"a,\xe9,Class\n1,2,0\n3,4,1\n5,6,0\n")
+        with pytest.raises(DatasetError, match="header cell 2 is not UTF-8"):
+            load_csv(path, label_column="Class")
+
+    def test_text_label_keeps_a_quoted_carriage_return(self, tmp_path):
+        # numpy's reader would hand the label over as "a\nb"
+        path = write_csv(tmp_path / "cr.csv", 'x,Class\n1,"a\rb"\n2,a\n3,b\n')
+        ds = load_csv(path, label_column="Class", positive_label="a\rb")
+        assert ds.labels.tolist() == [1, 0, 0]
 
     @pytest.mark.parametrize(
         "header, repeated",
@@ -187,45 +212,66 @@ def reference_load_csv(path, label_column, positive_label=1):
     )
 
 
-GOOD_CELLS = [
-    "0", "-0.0", "1.5", "1_000", "+1", ".5", "1e-320", "3E2", "-7.25",
-    " 2 ", "1e308", "-1e308", "0.1", "123456789.123456789",
+# texts numpy's reader and float() both accept, then texts only float() does
+NUMBER_CELLS = [
+    "0", "-0.0", "1.5", "+1", ".5", "1e-320", "3E2", "-7.25", " 2 ", "1e308",
+    "-1e308", "0.1", "123456789.123456789", "2.", "\xa04", '"1"2',
 ]
-BAD_CELLS = ["nan", "-Infinity", "1e999", "abc", "", "short"]
+FLOAT_ONLY_CELLS = ["1_000", "\u0661\u0662", "\uff13"]
+BAD_CELLS = [
+    "nan", "inf", "-Infinity", "1e999", "abc", "", '1"2', "1,5",
+    "short", "long", "trailing comma",
+]
+NUMBER_LABELS = ["0", "0", "1", " 1 ", "1.0", "nan"]
+TEXT_LABELS = ["1_0", "x", "fraud", " fraud ", "fr\raud", "fr\naud"]
+BLANK_LINES = ["", "", "", "", "", " ", "\t"]
 
 
 @st.composite
 def csv_texts(draw):
-    """A headered CSV and its label column: the label at any position,
-    quoted and padded cells, blank lines, rows of 1e308 whose sum
-    overflows, and up to two bad cells (or short rows) anywhere."""
+    """A headered CSV: the label at any position, quoted and padded cells,
+    blank and whitespace-only lines, \\n, \\r\\n or \\r line ends, maybe a
+    header name quoted over two lines, rows of 1e308 whose sum overflows,
+    texts only ``float`` accepts, text labels, and up to three bad cells,
+    short rows or long rows anywhere (a long row may end in a trailing
+    comma, and every row may). Most files are clean for numpy's reader."""
     n_features = draw(st.integers(1, 5))
     names = [f"f{j}" for j in range(n_features)]
+    if draw(st.integers(0, 4)) == 0:
+        names[draw(st.integers(0, n_features - 1))] += "\nz"
     names.insert(draw(st.integers(0, n_features)), "Class")
     width = len(names)
+    cell_texts = NUMBER_CELLS + (FLOAT_ONLY_CELLS if draw(st.integers(0, 3)) == 0 else [])
+    label_texts = NUMBER_LABELS + (TEXT_LABELS if draw(st.integers(0, 2)) == 0 else [])
     n_rows = draw(st.integers(0, 8))
     rows = []
     for _ in range(n_rows):
         if draw(st.booleans()) and n_features > 1:
             cells = ["1e308"] * width
         else:
-            cells = [draw(st.sampled_from(GOOD_CELLS)) for _ in range(width)]
-        cells[names.index("Class")] = draw(st.sampled_from(["0", "1", " 1 ", "1.0", "x"]))
+            cells = [draw(st.sampled_from(cell_texts)) for _ in range(width)]
+        cells[names.index("Class")] = draw(st.sampled_from(label_texts))
         rows.append(cells)
-    n_bad = draw(st.integers(0, 2)) if rows else 0
+    n_bad = draw(st.sampled_from([0, 0, 0, 0, 0, 0, 1, 2, 3])) if rows else 0
     for _ in range(n_bad):
         i = draw(st.integers(0, len(rows) - 1))
         j = draw(st.integers(0, len(rows[i]) - 1))
         bad = draw(st.sampled_from(BAD_CELLS))
         if bad == "short":
             del rows[i][j]
+        elif bad == "long":
+            rows[i].insert(j, draw(st.sampled_from(cell_texts)))
+        elif bad == "trailing comma":
+            rows[i].append("")
         else:
             rows[i][j] = bad
+    if draw(st.integers(0, 9)) == 0:
+        rows = [cells + [""] for cells in rows]
 
     def render(cells):
         out = []
         for cell in cells:
-            if draw(st.integers(0, 3)) == 0:
+            if any(c in cell for c in "\r\n,") or draw(st.integers(0, 3)) == 0:
                 cell = f'"{cell}"'
             out.append(cell)
         return ",".join(out)
@@ -234,16 +280,17 @@ def csv_texts(draw):
     lines = [render(header)]
     for cells in rows:
         if draw(st.integers(0, 4)) == 0:
-            lines.append("")
+            lines.append(draw(st.sampled_from(BLANK_LINES)))
         lines.append(render(cells))
-    return "\n".join(lines) + "\n"
+    end = draw(st.sampled_from(["\n", "\r\n", "\r"]))
+    return end.join(lines) + end
 
 
-def _load_outcome(loader, path):
+def _load_outcome(loader, path, positive_label=1):
     with warnings.catch_warnings(record=True) as caught:
         warnings.simplefilter("always")
         try:
-            ds = loader(path, label_column="Class", positive_label=1)
+            ds = loader(path, label_column="Class", positive_label=positive_label)
         except DatasetError as exc:
             return ("error", str(exc))
     return (
@@ -256,14 +303,44 @@ def _load_outcome(loader, path):
 
 
 @settings(
-    max_examples=300, deadline=None,
+    max_examples=600, deadline=None,
     suppress_health_check=[HealthCheck.function_scoped_fixture],
 )
-@given(text=csv_texts())
-def test_load_csv_matches_per_cell_reference(tmp_path, text):
+@given(text=csv_texts(), positive_label=st.sampled_from([1, 0, "fraud"]))
+def test_load_csv_matches_per_cell_reference(tmp_path, monkeypatch, text, positive_label):
+    # a few rows per move, so that these short files take several
+    monkeypatch.setattr(dataset, "_MOVE_ROWS", 3)
     path = tmp_path / "oracle.csv"
-    path.write_text(text, encoding="utf-8")
-    assert _load_outcome(load_csv, path) == _load_outcome(reference_load_csv, path)
+    path.write_bytes(text.encode("utf-8"))
+    assert _load_outcome(load_csv, path, positive_label) == _load_outcome(
+        reference_load_csv, path, positive_label
+    )
+
+
+CLEAN_FILES = {
+    # the shape of the published credit-card file: quoted names and labels
+    "quoted": ('"Time","V1","Amount","Class"\r\n0,-1.35,149.62,"0"\r\n'
+               '1,1.19,2.69,"1"\r\n2,-0.9,3.5,"0"\r\n', 1),
+    "text labels": ("x,y,Class\n1, 2 ,ok\n\n3,4e-3, fraud\n5,.5,ok\n", "fraud"),
+    "two-line header": ('"x\ny",Class\n1.5,0\n2.5,1\n3,0\n', 1),
+}
+
+
+@pytest.mark.parametrize("name", sorted(CLEAN_FILES))
+def test_clean_file_never_reaches_the_row_parser(tmp_path, monkeypatch, name):
+    text, positive_label = CLEAN_FILES[name]
+    path = tmp_path / "clean.csv"
+    path.write_bytes(text.encode("utf-8"))
+    expected = _load_outcome(reference_load_csv, path, positive_label)
+
+    def row_parser(*args):
+        raise AssertionError("the row parser ran on a clean file")
+
+    monkeypatch.setattr(dataset, "_read_rows", row_parser)
+    assert _load_outcome(load_csv, path, positive_label) == expected
+    # more rows than one move of the label column takes
+    fixture = make_fixture("gaussian-imbalanced", 2500, 0.1, seed=1, out_path=tmp_path / "f.csv")
+    assert _load_outcome(load_csv, fixture) == _load_outcome(reference_load_csv, fixture)
 
 
 def toy(features, labels, names=None):
