@@ -35,6 +35,7 @@ from typing import NamedTuple
 
 import numpy as np
 
+from ..validation import is_count
 from .base import BinaryClassifier
 from .tree import midpoint, sort_orders
 
@@ -460,8 +461,8 @@ class DiscreteAdaBoost(BinaryClassifier):
     supports_probability = True
 
     def __init__(self, n_rounds=50):
-        if n_rounds < 1:
-            raise ValueError("n_rounds must be >= 1")
+        if not is_count(n_rounds):
+            raise ValueError(f"n_rounds must be >= 1 (an int), got {n_rounds!r}")
         self.n_rounds = n_rounds
 
     def _fit(self, X, y):
@@ -507,8 +508,8 @@ class RealAdaBoost(BinaryClassifier):
     supports_probability = True
 
     def __init__(self, n_rounds=50):
-        if n_rounds < 1:
-            raise ValueError("n_rounds must be >= 1")
+        if not is_count(n_rounds):
+            raise ValueError(f"n_rounds must be >= 1 (an int), got {n_rounds!r}")
         self.n_rounds = n_rounds
 
     def _fit(self, X, y):

@@ -14,6 +14,7 @@ instance-hardness undersampler).
 import numpy as np
 
 from ..base import derive_rng, derive_seed
+from ..validation import is_count
 from .base import BinaryClassifier
 from .tree import DecisionTreeClassifier, check_tree_options, presort
 
@@ -30,8 +31,8 @@ class RandomForestClassifier(BinaryClassifier):
         probability_mode="vote",
         seed=0,
     ):
-        if n_trees < 1:
-            raise ValueError("n_trees must be >= 1")
+        if not is_count(n_trees):
+            raise ValueError(f"n_trees must be >= 1 (an int), got {n_trees!r}")
         if probability_mode not in ("vote", "leaf_mean"):
             raise ValueError(f"unknown probability_mode {probability_mode!r}")
         check_tree_options(max_depth, max_features)

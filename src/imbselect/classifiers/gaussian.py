@@ -17,6 +17,8 @@ class GaussianNaiveBayes(BinaryClassifier):
     supports_probability = True
 
     def __init__(self, var_floor_ratio=1e-9):
+        if not var_floor_ratio > 0:
+            raise ValueError(f"var_floor_ratio must be > 0, got {var_floor_ratio!r}")
         self.var_floor_ratio = var_floor_ratio
 
     def _fit(self, X, y):
@@ -52,6 +54,8 @@ class QuadraticDiscriminant(BinaryClassifier):
     supports_probability = True
 
     def __init__(self, reg_ratio=1e-6):
+        if not reg_ratio >= 0:
+            raise ValueError(f"reg_ratio must be >= 0, got {reg_ratio!r}")
         self.reg_ratio = reg_ratio
 
     def _fit(self, X, y):

@@ -35,6 +35,7 @@ rare, and the fit costs about what the per-row loop costs.
 import numpy as np
 
 from ..base import derive_rng
+from ..validation import is_count
 from .base import BinaryClassifier
 
 # Clean rows in a row before blocks are screened, and the block lengths.
@@ -74,8 +75,8 @@ class LogisticRegression(BinaryClassifier):
     supports_probability = True
 
     def __init__(self, l2=1e-4, max_epochs=500, tol=1e-8):
-        if l2 < 0 or max_epochs < 1:
-            raise ValueError("l2 must be >= 0 and max_epochs >= 1")
+        if not (l2 >= 0 and is_count(max_epochs)):
+            raise ValueError("l2 must be >= 0 and max_epochs >= 1 (an int)")
         self.l2 = l2
         self.max_epochs = max_epochs
         self.tol = tol
@@ -117,8 +118,8 @@ class RidgeClassifier(BinaryClassifier):
     """Closed-form least squares on +-1 targets, unpenalized intercept."""
 
     def __init__(self, l2=1.0):
-        if l2 < 0:
-            raise ValueError("l2 must be >= 0")
+        if not l2 >= 0:
+            raise ValueError(f"l2 must be >= 0, got {l2!r}")
         self.l2 = l2
 
     def _fit(self, X, y):
@@ -214,8 +215,8 @@ class Perceptron(BinaryClassifier):
     """Rosenblatt updates over seeded per-epoch shuffles."""
 
     def __init__(self, epochs=50, learning_rate=1.0, seed=0):
-        if epochs < 1 or learning_rate <= 0:
-            raise ValueError("epochs must be >= 1 and learning_rate > 0")
+        if not (is_count(epochs) and learning_rate > 0):
+            raise ValueError("epochs must be >= 1 (an int) and learning_rate > 0")
         self.epochs = epochs
         self.learning_rate = learning_rate
         self.seed = seed
@@ -254,8 +255,8 @@ class HingeSGD(BinaryClassifier):
     """Linear SVM objective by SGD: hinge loss with l2 shrinkage."""
 
     def __init__(self, l2=1e-4, epochs=50, eta0=0.01, seed=0):
-        if l2 <= 0 or eta0 <= 0 or epochs < 1:
-            raise ValueError("l2 and eta0 must be > 0, epochs >= 1")
+        if not (l2 > 0 and eta0 > 0 and is_count(epochs)):
+            raise ValueError("l2 and eta0 must be > 0, epochs >= 1 (an int)")
         self.l2 = l2
         self.epochs = epochs
         self.eta0 = eta0
@@ -315,8 +316,8 @@ class PassiveAggressive(BinaryClassifier):
     """PA-I: step size tau = min(C, hinge loss / ||x||^2), bias augmented."""
 
     def __init__(self, aggressiveness=1.0, epochs=50, seed=0):
-        if aggressiveness <= 0 or epochs < 1:
-            raise ValueError("aggressiveness must be > 0 and epochs >= 1")
+        if not (aggressiveness > 0 and is_count(epochs)):
+            raise ValueError("aggressiveness must be > 0 and epochs >= 1 (an int)")
         self.aggressiveness = aggressiveness
         self.epochs = epochs
         self.seed = seed

@@ -16,6 +16,7 @@ two functions.
 
 import numpy as np
 
+from ..validation import is_count
 from .base import BinaryClassifier
 
 # Test rows per distance chunk. OpenBLAS gemm bits depend on the operand
@@ -72,8 +73,8 @@ class KNeighborsClassifier(BinaryClassifier):
     supports_probability = True
 
     def __init__(self, k=5):
-        if k < 1:
-            raise ValueError("k must be >= 1")
+        if not is_count(k):
+            raise ValueError(f"k must be >= 1 (an int), got {k!r}")
         self.k = k
 
     def _fit(self, X, y):

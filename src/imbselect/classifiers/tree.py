@@ -42,6 +42,7 @@ from functools import partial
 import numpy as np
 
 from ..base import derive_rng
+from ..validation import is_count
 from .base import BinaryClassifier
 
 _LEAF = -1
@@ -237,15 +238,11 @@ def _run_end_split(X, presorted, member, counts, pos_counts, pos_rows, n, n_pos,
     return best_score, int(feature_ids[best]), midpoint(xs[best], c), node_rows[: c + 1], node_rows[c + 1 :]
 
 
-def _is_count(value):
-    return isinstance(value, int) and not isinstance(value, bool) and value >= 1
-
-
 def check_tree_options(max_depth, max_features):
     """Raise ValueError for a depth or feature count no tree can grow with."""
-    if not (max_depth is None or _is_count(max_depth)):
+    if not (max_depth is None or is_count(max_depth)):
         raise ValueError(f"max_depth must be None or an int >= 1, got {max_depth!r}")
-    if not (max_features is None or max_features == "sqrt" or _is_count(max_features)):
+    if not (max_features is None or max_features == "sqrt" or is_count(max_features)):
         raise ValueError(
             f"max_features must be None, 'sqrt' or an int >= 1, got {max_features!r}"
         )

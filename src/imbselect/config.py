@@ -29,7 +29,7 @@ SECTION_KEYS = {
     "dataset": ("path", "label_column", "positive_label", "pre_encoded", "encoded_prefix",
                 "standardize_columns", "standardize_all", "keep_raw_columns", "sha256"),
     "grid": ("dims", "samplers", "classifiers", "metric", "top_k", "test_fraction",
-             "cv_folds", "master_seed"),
+             "master_seed"),
     "output": ("dir", "formats", "workers"),
 }
 
@@ -179,22 +179,11 @@ def _read(path, overrides, whole_file):
     if not dims_list:
         errors.append("grid.dims must name at least one dimensionality")
 
-    try:
-        cv_folds = int(grid_section.get("cv_folds", "5"))
-    except ValueError:
-        errors.append("grid.cv_folds must be an integer")
-        cv_folds = 5
-    if cv_folds < 2:
-        errors.append("grid.cv_folds must be >= 2")
-        cv_folds = 5
-
     made = {}  # (family, kind) -> its spec, or None when making it failed
 
     def spec_of(family, kind):
         if (family, kind) not in made:
             params = _section_params(parser, f"{family}.{kind}")
-            if kind == "instance_hardness_threshold":
-                params = {"iht_folds": cv_folds, **params}
             try:
                 made[family, kind] = SPEC_FAMILIES[family](kind, params)
             except (ValueError, TypeError) as exc:

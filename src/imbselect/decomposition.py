@@ -1,4 +1,4 @@
-"""Principal-component basis via cyclic Jacobi eigendecomposition.
+"""Principal-component basis from numpy's symmetric eigensolver (LAPACK).
 
 The full basis is learned once on the training split; the dimensionality
 sweep then projects onto the leading components without refitting. For
@@ -11,62 +11,6 @@ import numpy as np
 from .base import BaseEstimator
 from .dataset import freeze
 from .validation import check_array, check_feature_width
-
-
-def jacobi_eigh(matrix, rel_tol=1e-12, max_sweeps=100):
-    """Eigenvalues and eigenvectors of a symmetric matrix.
-
-    Cyclic Jacobi rotations; converges when the off-diagonal Frobenius
-    norm falls below ``rel_tol`` times its initial value. Returns
-    (eigenvalues, eigenvectors) with eigenvectors in columns, unordered.
-    """
-    a = np.array(matrix, dtype=np.float64)
-    p = a.shape[0]
-    if a.ndim != 2 or a.shape != (p, p):
-        raise ValueError(f"expected a square matrix, got shape {a.shape}")
-    if p and not np.allclose(a, a.T, atol=1e-10, rtol=0):
-        raise ValueError("matrix is not symmetric")
-    v = np.eye(p)
-
-    def off_norm(m):
-        off = m.copy()
-        np.fill_diagonal(off, 0.0)
-        return np.sqrt(np.sum(off * off))
-
-    initial = off_norm(a)
-    if initial == 0.0 or p < 2:
-        return np.diag(a).copy(), v
-    threshold = rel_tol * initial
-
-    for _ in range(max_sweeps):
-        if off_norm(a) <= threshold:
-            break
-        for i in range(p - 1):
-            for j in range(i + 1, p):
-                a_ij = a[i, j]
-                if a_ij == 0.0:
-                    continue
-                tau = (a[j, j] - a[i, i]) / (2.0 * a_ij)
-                if tau >= 0.0:
-                    t = 1.0 / (tau + np.sqrt(1.0 + tau * tau))
-                else:
-                    t = -1.0 / (-tau + np.sqrt(1.0 + tau * tau))
-                c = 1.0 / np.sqrt(1.0 + t * t)
-                s = t * c
-                # A <- J^T A J applied as column then row rotation
-                col_i, col_j = a[:, i].copy(), a[:, j].copy()
-                a[:, i] = c * col_i - s * col_j
-                a[:, j] = s * col_i + c * col_j
-                row_i, row_j = a[i, :].copy(), a[j, :].copy()
-                a[i, :] = c * row_i - s * row_j
-                a[j, :] = s * row_i + c * row_j
-                a[i, j] = a[j, i] = 0.0
-                v_i, v_j = v[:, i].copy(), v[:, j].copy()
-                v[:, i] = c * v_i - s * v_j
-                v[:, j] = s * v_i + c * v_j
-    else:
-        raise RuntimeError("Jacobi eigendecomposition failed to converge")
-    return np.diag(a).copy(), v
 
 
 class PrincipalComponents(BaseEstimator):
@@ -86,7 +30,7 @@ class PrincipalComponents(BaseEstimator):
         self.mean_ = X.mean(axis=0)
         centered = X - self.mean_
         cov = (centered.T @ centered) / n
-        eigenvalues, eigenvectors = jacobi_eigh(cov)
+        eigenvalues, eigenvectors = np.linalg.eigh(cov)
         order = np.argsort(-eigenvalues, kind="stable")
         eigenvalues = np.maximum(eigenvalues[order], 0.0)
         components = eigenvectors[:, order].T

@@ -18,19 +18,13 @@ from .classifiers.forest import RandomForestClassifier
 from .classifiers.neighbors import positive_counts, squared_distances
 from .classifiers.tree import presort, presort_rows, sort_orders
 from .dataset import Dataset, freeze, round_half_away, stratified_folds
-from .validation import check_X_y, require_both_classes
+from .validation import check_X_y, is_count, require_both_classes
 
 
 def _check_ratio(target_ratio):
     if not 0.0 < target_ratio <= 1.0:
         raise ValueError(f"target_ratio must be in (0, 1], got {target_ratio}")
     return target_ratio
-
-
-def _check_at_least(name, value, low):
-    if value < low:
-        raise ValueError(f"{name} must be >= {low}, got {value}")
-    return value
 
 
 def _class_indices(y):
@@ -105,7 +99,9 @@ class InstanceHardnessThreshold(BaseEstimator):
 
     def __init__(self, target_ratio=1.0, iht_folds=5, seed=0):
         self.target_ratio = _check_ratio(target_ratio)
-        self.iht_folds = _check_at_least("iht_folds", iht_folds, 2)
+        if not is_count(iht_folds, 2):
+            raise ValueError(f"iht_folds must be >= 2 (an int), got {iht_folds!r}")
+        self.iht_folds = iht_folds
         self.seed = seed
 
     def _out_of_fold_true_class_probability(self, X, y):
@@ -178,7 +174,9 @@ def smote_synthesize(minority, k_neighbors, count, rng):
 class Smote(BaseEstimator):
     def __init__(self, target_ratio=1.0, k_neighbors=5, seed=0):
         self.target_ratio = _check_ratio(target_ratio)
-        self.k_neighbors = _check_at_least("k_neighbors", k_neighbors, 1)
+        if not is_count(k_neighbors):
+            raise ValueError(f"k_neighbors must be >= 1 (an int), got {k_neighbors!r}")
+        self.k_neighbors = k_neighbors
         self.seed = seed
 
     def fit_resample(self, X, y):
@@ -219,7 +217,9 @@ class Adasyn(BaseEstimator):
 
     def __init__(self, target_ratio=1.0, k_neighbors=5, seed=0):
         self.target_ratio = _check_ratio(target_ratio)
-        self.k_neighbors = _check_at_least("k_neighbors", k_neighbors, 1)
+        if not is_count(k_neighbors):
+            raise ValueError(f"k_neighbors must be >= 1 (an int), got {k_neighbors!r}")
+        self.k_neighbors = k_neighbors
         self.seed = seed
 
     def _hardness(self, X, y, pos_idx):

@@ -1,6 +1,15 @@
 """Input validation helpers used across estimators."""
 
+import numbers
+
 import numpy as np
+
+
+def is_count(value, low=1):
+    """True for an int (a bool is not one) of at least ``low``. Every count
+    option goes through this, so that 2.5 fails when its spec is made rather
+    than in every fit."""
+    return isinstance(value, numbers.Integral) and not isinstance(value, bool) and value >= low
 
 
 def check_array(X, name="X"):

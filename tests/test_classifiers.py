@@ -374,6 +374,20 @@ def test_spec_rejects_unknown_option():
         (DecisionTreeClassifier, {"max_features": True}, "max_features must be None, 'sqrt'"),
         (DiscreteAdaBoost, {"n_rounds": 0}, "n_rounds must be >= 1"),
         (RealAdaBoost, {"n_rounds": -3}, "n_rounds must be >= 1"),
+        # values that would fail every fit, or score NaN, are refused as well
+        (DiscreteAdaBoost, {"n_rounds": 2.5}, "n_rounds must be >= 1"),
+        (KNeighborsClassifier, {"k": 2.5}, "k must be >= 1"),
+        (KNeighborsClassifier, {"k": True}, "k must be >= 1"),
+        (RandomForestClassifier, {"n_trees": 2.5}, "n_trees must be >= 1"),
+        (Perceptron, {"epochs": 1.5}, "epochs must be >= 1"),
+        (HingeSGD, {"epochs": 1.5}, "epochs >= 1"),
+        (PassiveAggressive, {"epochs": 1.5}, "epochs >= 1"),
+        (LogisticRegression, {"max_epochs": 2.5}, "max_epochs >= 1"),
+        (RidgeClassifier, {"l2": math.nan}, "l2 must be >= 0"),
+        (HingeSGD, {"eta0": math.nan}, "eta0 must be > 0"),
+        (Perceptron, {"learning_rate": math.nan}, "learning_rate > 0"),
+        (QuadraticDiscriminant, {"reg_ratio": -1}, "reg_ratio must be >= 0"),
+        (GaussianNaiveBayes, {"var_floor_ratio": math.nan}, "var_floor_ratio must be > 0"),
     ],
 )
 def test_constructors_check_ranges(cls, params, message):

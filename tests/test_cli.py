@@ -1,8 +1,11 @@
 import csv
 import hashlib
 import json
+import os
 import re
 import runpy
+import subprocess
+import sys
 import tracemalloc
 from pathlib import Path
 
@@ -454,10 +457,31 @@ def test_misspelt_key_or_section_is_config_error(
             "[classifier.decision_tree]\nmax_depth = 0",
             "max_depth must be None or an int >= 1, got 0",
         ),
+        # a count that is not an int, or a NaN, would fail or poison every fit
+        ({}, "[classifier.adaboost_discrete]\nn_rounds = 2.5",
+         "n_rounds must be >= 1 (an int), got 2.5"),
+        ({}, "[classifier.knn]\nk = 2.5", "k must be >= 1 (an int), got 2.5"),
+        ({}, "[classifier.random_forest]\nn_trees = 2.5",
+         "n_trees must be >= 1 (an int), got 2.5"),
+        ({}, "[classifier.perceptron]\nepochs = 1.5",
+         "epochs must be >= 1 (an int) and learning_rate > 0"),
+        ({}, "[classifier.logistic_regression]\nmax_epochs = 2.5",
+         "l2 must be >= 0 and max_epochs >= 1 (an int)"),
+        ({}, "[sampler.smote]\nk_neighbors = 2.5",
+         "k_neighbors must be >= 1 (an int), got 2.5"),
+        ({}, "[sampler.instance_hardness_threshold]\niht_folds = 2.5",
+         "iht_folds must be >= 2 (an int), got 2.5"),
+        ({}, "[classifier.ridge]\nl2 = nan", "l2 must be >= 0, got nan"),
+        ({}, "[classifier.sgd_hinge]\neta0 = nan", "l2 and eta0 must be > 0, epochs >= 1"),
+        ({}, "[classifier.quadratic_da]\nreg_ratio = -1", "reg_ratio must be >= 0, got -1"),
     ],
     ids=["smote-k_neigbors", "smote-target_ratio", "knn-kk", "knn-k", "forest-n_trees",
          "sgd_hinge-eta0", "forest-max_features", "adaboost_real-n_rounds",
-         "decision_tree-max_depth"],
+         "decision_tree-max_depth", "adaboost_discrete-n_rounds-float", "knn-k-float",
+         "forest-n_trees-float", "perceptron-epochs-float",
+         "logistic_regression-max_epochs-float", "smote-k_neighbors-float",
+         "iht-iht_folds-float", "ridge-l2-nan", "sgd_hinge-eta0-nan",
+         "quadratic_da-reg_ratio-negative"],
 )
 def test_bad_override_section_is_config_error(
     tmp_path, fixture_csv, capsys, grid, text, message
@@ -564,3 +588,28 @@ def test_shipped_configs_validate(tmp_path, name, n_features):
     config = tmp_path / name
     config.write_text(text, encoding="utf-8")
     assert not [d for d in validate_config(config) if d.startswith("error:")]
+
+
+# what importing the package adds to sys.modules, as top-level names outside
+# the standard library; names a process preloads (site .pth hooks) are left out
+IMPORTED_PACKAGES = """
+import sys
+before = set(sys.modules)
+import imbselect, imbselect.cli
+added = {name.partition(".")[0] for name in set(sys.modules) - before}
+print(" ".join(sorted(n for n in added - set(sys.stdlib_module_names) if not n.startswith("__"))))
+"""
+
+
+def test_numpy_is_the_only_dependency():
+    # scipy and others may be installed; an import of one would pass every other test
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(
+        [str(ROOT / "src")] + [p for p in [env.get("PYTHONPATH")] if p]
+    )
+    done = subprocess.run(
+        [sys.executable, "-c", IMPORTED_PACKAGES],
+        capture_output=True, text=True, env=env, timeout=120,
+    )
+    assert done.returncode == 0, done.stderr
+    assert done.stdout.split() == ["imbselect", "numpy"]

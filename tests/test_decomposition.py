@@ -1,4 +1,8 @@
 import math
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -7,9 +11,10 @@ from imbselect.dataset import Dataset
 from imbselect.decomposition import (
     PrincipalComponents,
     encoded_column_names,
-    jacobi_eigh,
     select_encoded,
 )
+
+ROOT = Path(__file__).resolve().parents[1]
 
 
 def power_iteration_top_eigenvalue(matrix, iterations=20_000):
@@ -29,24 +34,6 @@ def power_iteration_top_eigenvalue(matrix, iterations=20_000):
 def population_cov(X):
     centered = X - X.mean(axis=0)
     return centered.T @ centered / X.shape[0]
-
-
-class TestJacobi:
-    def test_diagonal_matrix(self):
-        vals, vecs = jacobi_eigh(np.diag([3.0, 1.0, 2.0]))
-        assert np.allclose(sorted(vals), [1, 2, 3])
-        assert np.allclose(vecs @ vecs.T, np.eye(3), atol=1e-12)
-
-    def test_reconstructs_symmetric_matrix(self):
-        rng = np.random.default_rng(5)
-        m = rng.normal(size=(8, 8))
-        sym = (m + m.T) / 2
-        vals, vecs = jacobi_eigh(sym)
-        assert np.allclose(vecs @ np.diag(vals) @ vecs.T, sym, atol=1e-9)
-
-    def test_rejects_non_symmetric(self):
-        with pytest.raises(ValueError, match="symmetric"):
-            jacobi_eigh(np.array([[1.0, 2.0], [0.0, 1.0]]))
 
 
 class TestPrincipalComponents:
@@ -199,3 +186,32 @@ def test_twenty_three_raw_features_yield_twenty_three_components():
     assert pca.components_.shape == (23, 23)
     assert pca.explained_variance_.shape == (23,)
     assert pca.transform(X).shape == (300, 23)
+
+
+# fits a basis at the credit-card width (30 columns) and prints its bytes
+THREADED_FIT = """
+import numpy as np
+from imbselect.decomposition import PrincipalComponents
+X = np.random.default_rng(0).normal(size=(20_000, 30)) * np.linspace(0.5, 3.0, 30)
+pca = PrincipalComponents().fit(X)
+print(pca.components_.tobytes().hex(), pca.explained_variance_.tobytes().hex())
+"""
+
+
+def test_basis_does_not_depend_on_blas_threads():
+    # the thread count is read when numpy loads, so each setting gets a process
+    outputs = []
+    for threads in ("1", "2"):
+        env = dict(os.environ, OPENBLAS_NUM_THREADS=threads)
+        env["PYTHONPATH"] = os.pathsep.join(
+            [str(ROOT / "src")] + [p for p in [os.environ.get("PYTHONPATH")] if p]
+        )
+        done = subprocess.run(
+            [sys.executable, "-c", THREADED_FIT],
+            capture_output=True, text=True, env=env, timeout=120,
+        )
+        assert done.returncode == 0, done.stderr
+        outputs.append(done.stdout.split())
+    components, variances = zip(*outputs)
+    assert components[0] == components[1]
+    assert variances[0] == variances[1]

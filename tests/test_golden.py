@@ -88,14 +88,14 @@ def test_every_sampler_and_seeded_classifier_is_pinned(tmp_path):
         pre_encoded=True,
         grid="""dims = 4
 samplers = none, random_under, iht, random_over, smote, adasyn
-classifiers = decision_tree, random_forest, perceptron, sgd_hinge, passive_aggressive
-cv_folds = 3""",
+classifiers = decision_tree, random_forest, perceptron, sgd_hinge, passive_aggressive""",
         sections="""[sampler.random_under]
 target_ratio = 0.5
 with_replacement = true
 
 [sampler.instance_hardness_threshold]
 target_ratio = 0.2
+iht_folds = 3
 
 [sampler.random_over]
 target_ratio = 0.5

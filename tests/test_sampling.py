@@ -84,8 +84,12 @@ class TestSpec:
         for cls in (Smote, Adasyn):
             with pytest.raises(ValueError, match="k_neighbors must be >= 1"):
                 cls(k_neighbors=0)
+            with pytest.raises(ValueError, match="k_neighbors must be >= 1"):
+                cls(k_neighbors=2.5)
         with pytest.raises(ValueError, match="iht_folds must be >= 2"):
             InstanceHardnessThreshold(iht_folds=1)
+        with pytest.raises(ValueError, match="iht_folds must be >= 2"):
+            InstanceHardnessThreshold(iht_folds=2.5)
 
     def test_labels(self):
         # leaderboard rows carry these strings: their bytes must not drift
