@@ -2,7 +2,9 @@
 (perceptron, hinge SGD, passive-aggressive).
 
 Margin models score with the raw signed margin; only logistic regression
-is probabilistic here.
+is probabilistic here, and it computes each trial point's margins
+``X @ w + b`` once, for its loss and then, if the step is taken, for the
+next gradient.
 
 The online models give the bits of a plain per-row loop over each epoch's
 shuffle, but they visit most rows a block at a time. A row changes ``w``
@@ -16,8 +18,10 @@ whose block margin clears the threshold by
 update under the per-row expression either, and it is skipped. Every other
 row of the block (a NaN margin included) is re-checked in order with the
 per-row expression; the first one that really updates takes the per-row
-update, and the epoch resumes at the row after it. Hinge SGD also shrinks
-``w`` on every row. A block rebuilds those shrinks with
+update, and the epoch resumes at the row after it. Perceptron and PA
+change ``w`` and ``b`` only on an update, so after an epoch with none no
+later row can update, and they stop there. Hinge SGD also shrinks ``w`` on
+every row, so it runs every epoch. A block rebuilds those shrinks with
 ``np.multiply.accumulate``, which does the same multiplications in the
 same order, and computes each step size with the per-row operations, so
 the ``w`` that each row sees is the per-row loop's, bit for bit.
@@ -35,7 +39,7 @@ rare, and the fit costs about what the per-row loop costs.
 import numpy as np
 
 from ..base import derive_rng
-from ..validation import is_count
+from ..validation import is_count, is_real
 from .base import BinaryClassifier
 
 # Clean rows in a row before blocks are screened, and the block lengths.
@@ -48,47 +52,54 @@ _EPS = np.finfo(np.float64).eps
 
 
 def _sigmoid(z):
-    out = np.empty_like(z)
-    pos = z >= 0
-    out[pos] = 1.0 / (1.0 + np.exp(-z[pos]))
-    ez = np.exp(z[~pos])
-    out[~pos] = ez / (1.0 + ez)
-    return out
+    # exp of -|z| never overflows; for z < 0 it is exp(z), so z >= 0 gives
+    # 1 / (1 + exp(-z)) and z < 0 gives exp(z) / (1 + exp(z))
+    e = np.exp(-np.abs(z))
+    return np.where(z >= 0, 1.0, e) / (1.0 + e)
 
 
-def logistic_loss(w, b, X, y, l2):
-    """Mean log-loss plus l2/2 * ||w||^2 (bias unregularized)."""
-    margins = (X @ w + b) * (2.0 * y - 1.0)
-    return float(np.logaddexp(0.0, -margins).mean() + 0.5 * l2 * (w @ w))
+def logistic_loss(z, signs, w, l2):
+    """Mean log-loss plus l2/2 * ||w||^2 (bias unregularized), from the
+    margins ``z = X @ w + b`` and the +-1 labels ``signs``."""
+    return float(np.logaddexp(0.0, -(z * signs)).mean() + 0.5 * l2 * (w @ w))
 
 
-def logistic_gradient(w, b, X, y, l2):
-    residual = _sigmoid(X @ w + b) - y
+def logistic_gradient(z, X, y, w, l2):
+    residual = _sigmoid(z) - y
     grad_w = X.T @ residual / X.shape[0] + l2 * w
     grad_b = float(residual.mean())
     return grad_w, grad_b
 
 
-class LogisticRegression(BinaryClassifier):
+class _LinearModel(BinaryClassifier):
+    def _score(self, X):
+        return X @ self.coef_ + self.intercept_
+
+
+class LogisticRegression(_LinearModel):
     """Full-batch gradient descent with Armijo backtracking line search."""
 
     supports_probability = True
 
     def __init__(self, l2=1e-4, max_epochs=500, tol=1e-8):
-        if not (l2 >= 0 and is_count(max_epochs)):
+        if not (is_real(l2) and l2 >= 0 and is_count(max_epochs)):
             raise ValueError("l2 must be >= 0 and max_epochs >= 1 (an int)")
+        if not (is_real(tol) and tol >= 0):
+            raise ValueError(f"tol must be >= 0, got {tol!r}")
         self.l2 = l2
         self.max_epochs = max_epochs
         self.tol = tol
 
     def _fit(self, X, y):
         y = y.astype(np.float64)
+        signs = 2.0 * y - 1.0
         w = np.zeros(X.shape[1])
         b = 0.0
-        loss = logistic_loss(w, b, X, y, self.l2)
+        z = X @ w + b
+        loss = logistic_loss(z, signs, w, self.l2)
         step = 1.0
         for _ in range(self.max_epochs):
-            grad_w, grad_b = logistic_gradient(w, b, X, y, self.l2)
+            grad_w, grad_b = logistic_gradient(z, X, y, w, self.l2)
             grad_sq = float(grad_w @ grad_w) + grad_b * grad_b
             if grad_sq == 0.0:
                 break
@@ -96,29 +107,29 @@ class LogisticRegression(BinaryClassifier):
             while step > 1e-16:
                 new_w = w - step * grad_w
                 new_b = b - step * grad_b
-                new_loss = logistic_loss(new_w, new_b, X, y, self.l2)
+                new_z = X @ new_w + new_b
+                new_loss = logistic_loss(new_z, signs, new_w, self.l2)
                 if new_loss <= loss - 1e-4 * step * grad_sq:
                     break
                 step *= 0.5
             else:
                 break
-            w, b = new_w, new_b
-            if abs(loss - new_loss) < self.tol:
-                loss = new_loss
+            converged = abs(loss - new_loss) < self.tol
+            w, b, z, loss = new_w, new_b, new_z, new_loss
+            if converged:
                 break
-            loss = new_loss
         self.coef_ = w
         self.intercept_ = b
 
     def _score(self, X):
-        return _sigmoid(X @ self.coef_ + self.intercept_)
+        return _sigmoid(super()._score(X))
 
 
-class RidgeClassifier(BinaryClassifier):
+class RidgeClassifier(_LinearModel):
     """Closed-form least squares on +-1 targets, unpenalized intercept."""
 
     def __init__(self, l2=1.0):
-        if not l2 >= 0:
+        if not (is_real(l2) and l2 >= 0):
             raise ValueError(f"l2 must be >= 0, got {l2!r}")
         self.l2 = l2
 
@@ -143,9 +154,6 @@ class RidgeClassifier(BinaryClassifier):
         w = np.linalg.solve(chol.T, np.linalg.solve(chol, rhs))
         self.coef_ = w
         self.intercept_ = float(t_mean - x_mean @ w)
-
-    def _score(self, X):
-        return X @ self.coef_ + self.intercept_
 
 
 def _candidates(Xb, signs_b, w, b, threshold):
@@ -203,41 +211,34 @@ class _Screen:
         return updates
 
 
-def _scan_fixed(X, signs, rows, w, b, threshold, step):
-    """Block scan for models whose ``w`` and ``b`` change only on updates."""
-    for k in _candidates(X[rows], signs[rows], w, b, threshold):
-        if step(rows[k]):
-            return k + 1, True
-    return rows.size, False
-
-
-class Perceptron(BinaryClassifier):
-    """Rosenblatt updates over seeded per-epoch shuffles."""
-
-    def __init__(self, epochs=50, learning_rate=1.0, seed=0):
-        if not (is_count(epochs) and learning_rate > 0):
-            raise ValueError("epochs must be >= 1 (an int) and learning_rate > 0")
-        self.epochs = epochs
-        self.learning_rate = learning_rate
-        self.seed = seed
+class _UpdateOnMargin(_LinearModel):
+    """Perceptron and PA: ``w`` and ``b`` change only on an update, so after
+    an epoch without one no later row can update, and the fit stops there.
+    ``_step_size(X)`` gives ``size(i, margin)``: the step for row ``i``, or
+    None where the row does not update; ``threshold`` is the margin a row
+    must reach to be left alone."""
 
     def _fit(self, X, y):
         signs = 2.0 * y - 1.0
         w = np.zeros(X.shape[1])
         b = 0.0
-        rate = self.learning_rate
+        size = self._step_size(X)
 
         def step(i):
             nonlocal w, b
             x, s = X[i], signs[i]
-            if s * (x @ w + b) <= 0.0:
-                w += rate * s * x
-                b += rate * s
-                return True
-            return False
+            eta = size(i, s * (x @ w + b))
+            if eta is None:
+                return False
+            w += eta * s * x
+            b += eta * s
+            return True
 
         def scan(rows):
-            return _scan_fixed(X, signs, rows, w, b, 0.0, step)
+            for k in _candidates(X[rows], signs[rows], w, b, self.threshold):
+                if step(rows[k]):
+                    return k + 1, True
+            return rows.size, False
 
         screen = _Screen()
         for epoch in range(self.epochs):
@@ -247,15 +248,29 @@ class Perceptron(BinaryClassifier):
         self.coef_ = w
         self.intercept_ = b
 
-    def _score(self, X):
-        return X @ self.coef_ + self.intercept_
+
+class Perceptron(_UpdateOnMargin):
+    """Rosenblatt updates over seeded per-epoch shuffles."""
+
+    threshold = 0.0
+
+    def __init__(self, epochs=50, learning_rate=1.0, seed=0):
+        if not (is_count(epochs) and is_real(learning_rate) and learning_rate > 0):
+            raise ValueError("epochs must be >= 1 (an int) and learning_rate > 0")
+        self.epochs = epochs
+        self.learning_rate = learning_rate
+        self.seed = seed
+
+    def _step_size(self, X):
+        rate = self.learning_rate
+        return lambda i, margin: rate if margin <= 0.0 else None
 
 
-class HingeSGD(BinaryClassifier):
+class HingeSGD(_LinearModel):
     """Linear SVM objective by SGD: hinge loss with l2 shrinkage."""
 
     def __init__(self, l2=1e-4, epochs=50, eta0=0.01, seed=0):
-        if not (l2 > 0 and eta0 > 0 and is_count(epochs)):
+        if not (is_real(l2) and l2 > 0 and is_real(eta0) and eta0 > 0 and is_count(epochs)):
             raise ValueError("l2 and eta0 must be > 0, epochs >= 1 (an int)")
         self.l2 = l2
         self.epochs = epochs
@@ -308,47 +323,25 @@ class HingeSGD(BinaryClassifier):
         self.coef_ = w
         self.intercept_ = b
 
-    def _score(self, X):
-        return X @ self.coef_ + self.intercept_
 
-
-class PassiveAggressive(BinaryClassifier):
+class PassiveAggressive(_UpdateOnMargin):
     """PA-I: step size tau = min(C, hinge loss / ||x||^2), bias augmented."""
 
+    threshold = 1.0
+
     def __init__(self, aggressiveness=1.0, epochs=50, seed=0):
-        if not (aggressiveness > 0 and is_count(epochs)):
+        if not (is_real(aggressiveness) and aggressiveness > 0 and is_count(epochs)):
             raise ValueError("aggressiveness must be > 0 and epochs >= 1 (an int)")
         self.aggressiveness = aggressiveness
         self.epochs = epochs
         self.seed = seed
 
-    def _fit(self, X, y):
-        signs = 2.0 * y - 1.0
-        w = np.zeros(X.shape[1])
-        b = 0.0
+    def _step_size(self, X):
         sq_norms = (X * X).sum(axis=1) + 1.0  # +1 for the bias coordinate
         cap = self.aggressiveness
 
-        def step(i):
-            nonlocal w, b
-            x, s = X[i], signs[i]
-            loss = 1.0 - s * (x @ w + b)
-            if loss > 0.0:
-                tau = min(cap, loss / sq_norms[i])
-                w += tau * s * x
-                b += tau * s
-                return True
-            return False
+        def size(i, margin):
+            loss = 1.0 - margin
+            return min(cap, loss / sq_norms[i]) if loss > 0.0 else None
 
-        def scan(rows):
-            return _scan_fixed(X, signs, rows, w, b, 1.0, step)
-
-        screen = _Screen()
-        for epoch in range(self.epochs):
-            order = derive_rng(self.seed, "shuffle", epoch).permutation(X.shape[0])
-            screen.epoch(order, step, scan)
-        self.coef_ = w
-        self.intercept_ = b
-
-    def _score(self, X):
-        return X @ self.coef_ + self.intercept_
+        return size

@@ -126,6 +126,9 @@ def cmd_run(args):
         if config.standardize_all
         else list(config.standardize_columns)
     )
+    # train and test hold copies of their rows; dropping the loaded matrix
+    # keeps the search's forked workers from inheriting it
+    del dataset
     if columns:
         scaler = ColumnStandardizer(columns=columns).fit(train)
         train = scaler.transform(train)

@@ -331,20 +331,17 @@ class ColumnStandardizer(BaseEstimator):
                 raise KeyError(f"unknown feature column {name!r}")
         means = []
         scales = []
-        constant = []
         for name in names:
             col = dataset.column(name)
             mu = float(col.mean())
             sigma = float(col.std())  # population
             if sigma == 0.0:
                 sigma = 1.0
-                constant.append(name)
             means.append(mu)
             scales.append(sigma)
         self.columns_ = tuple(names)
         self.mean_ = np.asarray(means)
         self.scale_ = np.asarray(scales)
-        self.constant_columns_ = tuple(constant)
         return self
 
     def transform(self, dataset):

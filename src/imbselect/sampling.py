@@ -18,11 +18,11 @@ from .classifiers.forest import RandomForestClassifier
 from .classifiers.neighbors import positive_counts, squared_distances
 from .classifiers.tree import presort, presort_rows, sort_orders
 from .dataset import Dataset, freeze, round_half_away, stratified_folds
-from .validation import check_X_y, is_count, require_both_classes
+from .validation import check_X_y, is_count, is_real, require_both_classes
 
 
 def _check_ratio(target_ratio):
-    if not 0.0 < target_ratio <= 1.0:
+    if not (is_real(target_ratio) and 0.0 < target_ratio <= 1.0):
         raise ValueError(f"target_ratio must be in (0, 1], got {target_ratio}")
     return target_ratio
 

@@ -1,5 +1,6 @@
 """Input validation helpers used across estimators."""
 
+import math
 import numbers
 
 import numpy as np
@@ -10,6 +11,13 @@ def is_count(value, low=1):
     option goes through this, so that 2.5 fails when its spec is made rather
     than in every fit."""
     return isinstance(value, numbers.Integral) and not isinstance(value, bool) and value >= low
+
+
+def is_real(value):
+    """True for a finite real number (a bool is not one). Every float option's
+    range check goes through this, so that ``inf`` fails when its spec is
+    made rather than scoring NaN in every fit."""
+    return isinstance(value, numbers.Real) and not isinstance(value, bool) and math.isfinite(value)
 
 
 def check_array(X, name="X"):

@@ -226,19 +226,49 @@ def test_logistic_gradient_matches_finite_differences():
     w = rng.normal(size=5)
     b = 0.3
     l2 = 0.01
-    grad_w, grad_b = logistic_gradient(w, b, X, y, l2)
+    signs = 2.0 * y - 1.0
+
+    def loss(w, b):
+        return logistic_loss(X @ w + b, signs, w, l2)
+
+    grad_w, grad_b = logistic_gradient(X @ w + b, X, y, w, l2)
     eps = 1e-6
     for j in range(5):
         unit = np.zeros(5)
         unit[j] = eps
-        numeric = (
-            logistic_loss(w + unit, b, X, y, l2) - logistic_loss(w - unit, b, X, y, l2)
-        ) / (2 * eps)
+        numeric = (loss(w + unit, b) - loss(w - unit, b)) / (2 * eps)
         assert grad_w[j] == pytest.approx(numeric, rel=1e-5)
-    numeric_b = (
-        logistic_loss(w, b + eps, X, y, l2) - logistic_loss(w, b - eps, X, y, l2)
-    ) / (2 * eps)
+    numeric_b = (loss(w, b + eps) - loss(w, b - eps)) / (2 * eps)
     assert grad_b == pytest.approx(numeric_b, rel=1e-5)
+
+
+def masked_sigmoid(z):
+    """The sigmoid as two halves written through boolean masks."""
+    out = np.empty_like(z)
+    pos = z >= 0
+    out[pos] = 1.0 / (1.0 + np.exp(-z[pos]))
+    ez = np.exp(z[~pos])
+    out[~pos] = ez / (1.0 + ez)
+    return out
+
+
+SIGMOID_EDGES = [0.0, -0.0, 700.0, -700.0, 745.2, -745.2, 1e-320, -1e-320, 5e-324, -5e-324]
+
+
+@settings(max_examples=300, deadline=None)
+@given(
+    values=st.lists(
+        st.one_of(st.floats(-800.0, 800.0), st.sampled_from(SIGMOID_EDGES)),
+        min_size=1, max_size=300,
+    ),
+    stride=st.integers(1, 3),
+)
+def test_sigmoid_matches_the_masked_form_bit_for_bit(values, stride):
+    # a strided z is a column of a wider array, as a slice of X @ W would be
+    held = np.full((len(values), stride), 7.0)
+    held[:, 0] = values
+    z = held[:, 0]
+    assert_same_bits(linear_module._sigmoid(z), masked_sigmoid(z))
 
 
 def newton_logistic(X, y, iterations=60):
@@ -388,6 +418,20 @@ def test_spec_rejects_unknown_option():
         (Perceptron, {"learning_rate": math.nan}, "learning_rate > 0"),
         (QuadraticDiscriminant, {"reg_ratio": -1}, "reg_ratio must be >= 0"),
         (GaussianNaiveBayes, {"var_floor_ratio": math.nan}, "var_floor_ratio must be > 0"),
+        # inf passes every > and >= check, and a bool is an int to numpy
+        (HingeSGD, {"l2": math.inf}, "l2 and eta0 must be > 0"),
+        (HingeSGD, {"eta0": math.inf}, "l2 and eta0 must be > 0"),
+        (RidgeClassifier, {"l2": math.inf}, "l2 must be >= 0"),
+        (RidgeClassifier, {"l2": True}, "l2 must be >= 0"),
+        (LogisticRegression, {"l2": math.inf}, "l2 must be >= 0"),
+        (LogisticRegression, {"tol": math.nan}, "tol must be >= 0"),
+        (LogisticRegression, {"tol": -1}, "tol must be >= 0"),
+        (LogisticRegression, {"tol": math.inf}, "tol must be >= 0"),
+        (Perceptron, {"learning_rate": math.inf}, "learning_rate > 0"),
+        (PassiveAggressive, {"aggressiveness": math.inf}, "aggressiveness must be > 0"),
+        (PassiveAggressive, {"aggressiveness": True}, "aggressiveness must be > 0"),
+        (GaussianNaiveBayes, {"var_floor_ratio": math.inf}, "var_floor_ratio must be > 0"),
+        (QuadraticDiscriminant, {"reg_ratio": math.inf}, "reg_ratio must be >= 0"),
     ],
 )
 def test_constructors_check_ranges(cls, params, message):
@@ -850,6 +894,23 @@ def test_screened_online_model_matches_per_row_loop(
     w, b = reference(X, y, epochs=epochs, seed=seed, **kwargs)
     assert_same_bits(model.coef_, w)
     assert_same_bits(model.intercept_, b)
+
+
+def test_passive_aggressive_stops_after_a_clean_epoch_with_the_full_loops_bits():
+    # separable classes on which PA updates in each of its first four epochs
+    # and in none after them
+    rng = np.random.default_rng(1)
+    X = np.vstack([rng.normal(-2.0, 0.5, (100, 3)), rng.normal(2.0, 0.5, (100, 3))])
+    y = np.repeat([0, 1], 100)
+    # (the late updates come from margins that round just below 1 and move
+    # only the low bits of b)
+    loops = {
+        e: np.append(*reference_passive_aggressive(X, y, e, 1.0, seed=0)) for e in (3, 4, 30)
+    }
+    assert not np.array_equal(loops[3], loops[4])
+    assert_same_bits(loops[4], loops[30])
+    model = PassiveAggressive(epochs=30, seed=0).fit(X, y)
+    assert_same_bits(np.append(model.coef_, model.intercept_), loops[30])
 
 
 # ---------------------------------------------------------------------------

@@ -474,6 +474,16 @@ def test_misspelt_key_or_section_is_config_error(
         ({}, "[classifier.ridge]\nl2 = nan", "l2 must be >= 0, got nan"),
         ({}, "[classifier.sgd_hinge]\neta0 = nan", "l2 and eta0 must be > 0, epochs >= 1"),
         ({}, "[classifier.quadratic_da]\nreg_ratio = -1", "reg_ratio must be >= 0, got -1"),
+        # inf clears every > and >= check, and true reads as the int 1
+        ({}, "[classifier.sgd_hinge]\nl2 = inf", "l2 and eta0 must be > 0, epochs >= 1"),
+        ({}, "[classifier.ridge]\nl2 = 1e999", "l2 must be >= 0, got inf"),
+        ({}, "[classifier.ridge]\nl2 = true", "l2 must be >= 0, got True"),
+        ({}, "[classifier.logistic_regression]\ntol = -1", "tol must be >= 0, got -1"),
+        ({}, "[classifier.passive_aggressive]\naggressiveness = inf",
+         "aggressiveness must be > 0 and epochs >= 1 (an int)"),
+        ({}, "[classifier.gaussian_nb]\nvar_floor_ratio = inf",
+         "var_floor_ratio must be > 0, got inf"),
+        ({}, "[sampler.smote]\ntarget_ratio = true", "target_ratio must be in (0, 1], got True"),
     ],
     ids=["smote-k_neigbors", "smote-target_ratio", "knn-kk", "knn-k", "forest-n_trees",
          "sgd_hinge-eta0", "forest-max_features", "adaboost_real-n_rounds",
@@ -481,7 +491,9 @@ def test_misspelt_key_or_section_is_config_error(
          "forest-n_trees-float", "perceptron-epochs-float",
          "logistic_regression-max_epochs-float", "smote-k_neighbors-float",
          "iht-iht_folds-float", "ridge-l2-nan", "sgd_hinge-eta0-nan",
-         "quadratic_da-reg_ratio-negative"],
+         "quadratic_da-reg_ratio-negative", "sgd_hinge-l2-inf", "ridge-l2-1e999",
+         "ridge-l2-bool", "logistic_regression-tol-negative", "passive_aggressive-inf",
+         "gaussian_nb-var_floor_ratio-inf", "smote-target_ratio-bool"],
 )
 def test_bad_override_section_is_config_error(
     tmp_path, fixture_csv, capsys, grid, text, message

@@ -1,3 +1,5 @@
+import math
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -79,8 +81,9 @@ class TestSpec:
     def test_constructors_check_ranges(self):
         for cls in (RandomUnderSampler, InstanceHardnessThreshold, RandomOverSampler,
                     Smote, Adasyn):
-            with pytest.raises(ValueError, match="target_ratio must be in"):
-                cls(target_ratio=1.5)
+            for ratio in (1.5, math.inf, math.nan, True):
+                with pytest.raises(ValueError, match="target_ratio must be in"):
+                    cls(target_ratio=ratio)
         for cls in (Smote, Adasyn):
             with pytest.raises(ValueError, match="k_neighbors must be >= 1"):
                 cls(k_neighbors=0)
