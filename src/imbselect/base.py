@@ -1,15 +1,16 @@
-"""Minimal estimator base class and seeded RNG derivation.
+"""Estimator base class, option tables and seeded RNG derivation.
 
-Estimators follow the scikit-learn convention: constructor arguments are
-hyperparameters stored verbatim and learned state lives in trailing-underscore
-attributes set by ``fit``. The constructor's argument names are the one piece
-of introspection the package uses: a ``Spec`` reads them to reject unknown
-options and to decide whether an estimator takes a seed.
+Estimators follow the scikit-learn convention: hyperparameters are stored
+verbatim as attributes and learned state lives in trailing-underscore
+attributes set by ``fit``. Each estimator class declares its hyperparameters
+once, in its ``options`` table: name to (default, rule), with the rules of
+``validation``. ``BaseEstimator.__init__`` builds and checks every estimator
+from that table, and a ``Spec`` reads it to reject unknown options and to
+decide whether an estimator takes a seed.
 """
 
 import functools
 import hashlib
-import inspect
 from dataclasses import dataclass, field
 from typing import ClassVar
 
@@ -17,20 +18,27 @@ import numpy as np
 
 
 class BaseEstimator:
-    """Constructor-argument introspection shared by every estimator."""
+    """Construction from the class's ``options`` table.
 
-    @classmethod
-    def _param_names(cls):
-        init = cls.__init__
-        if init is object.__init__:
-            return []
-        sig = inspect.signature(init)
-        names = [
-            p.name
-            for p in sig.parameters.values()
-            if p.name != "self" and p.kind not in (p.VAR_POSITIONAL, p.VAR_KEYWORD)
-        ]
-        return sorted(names)
+    Options not given take their defaults. Every value is stored as given,
+    and one ``ValueError`` names every value that breaks its rule, in table
+    order.
+    """
+
+    options: ClassVar[dict] = {}
+
+    def __init__(self, **params):
+        unknown = params.keys() - self.options.keys()
+        if unknown:
+            raise TypeError(f"{type(self).__name__} takes no option(s) {sorted(unknown)}")
+        problems = []
+        for name, (default, rule) in self.options.items():
+            value = params.get(name, default)
+            if not rule.accepts(value):
+                problems.append(f"{name} must be {rule.text}, got {value!r}")
+            setattr(self, name, value)
+        if problems:
+            raise ValueError("; ".join(problems))
 
 
 def _words(value):
@@ -90,13 +98,13 @@ def derive_seed(*keys):
 
 @dataclass(frozen=True)
 class Spec:
-    """A registered estimator kind plus the constructor arguments it is
-    given, checked once when the spec is made.
+    """A registered estimator kind plus the options it is given, checked
+    once when the spec is made.
 
     Subclasses name their ``family`` and ``registry``. Every option must be
-    a constructor argument of the kind; ``seed`` never is, since ``build``
-    derives it. Making the spec builds one instance, so a constructor's own
-    range checks fail here, before any work.
+    in the kind's ``options`` table; ``seed`` never is one, since ``build``
+    derives it. Making the spec builds one instance, so a value that breaks
+    its rule fails here, before any work.
     """
 
     family: ClassVar[str]
@@ -110,7 +118,7 @@ class Spec:
                 f"unknown {self.family} kind {self.kind!r}; "
                 f"known kinds: {sorted(self.registry)}"
             )
-        known = [n for n in self.registry[self.kind]._param_names() if n != "seed"]
+        known = sorted(n for n in self.registry[self.kind].options if n != "seed")
         unknown = sorted(set(self.params) - set(known))
         if unknown:
             raise ValueError(f"unknown option(s) {unknown}; known: {known}")
@@ -121,7 +129,7 @@ class Spec:
         from ``(seed, kind)``."""
         cls = self.registry[self.kind]
         params = self.params
-        if "seed" in cls._param_names():
+        if "seed" in cls.options:
             # the 0 is the former per-spec salt, always 0, so seeds stay as they were
             params = {**params, "seed": derive_seed(seed, 0, self.kind)}
         return cls(**params)

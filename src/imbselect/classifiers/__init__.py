@@ -1,13 +1,11 @@
 """Classifier roster behind a declarative spec.
 
-``ClassifierSpec`` names a kind plus hyperparameter overrides; the
-registry turns it into a fresh estimator. New kinds (heavier models, a
-plugged-in library wrapper) register themselves without touching the
-search machinery.
+``ClassifierSpec`` names a kind plus hyperparameter overrides, checked
+against the kind's ``options`` table; the registry turns it into a fresh
+estimator.
 """
 
 from ..base import Spec
-from .base import BinaryClassifier
 from .boosting import DiscreteAdaBoost, RealAdaBoost
 from .dummy import ConstantPositive
 from .forest import RandomForestClassifier
@@ -37,14 +35,6 @@ CLASSIFIER_REGISTRY = {
     "adaboost_real": RealAdaBoost,
     "quadratic_da": QuadraticDiscriminant,
 }
-
-
-def register_classifier(kind, cls):
-    """Plug in an additional classifier kind; a constructor that takes
-    ``seed`` gets a derived one, as the built-in kinds do."""
-    if not issubclass(cls, BinaryClassifier):
-        raise TypeError(f"{cls!r} must subclass BinaryClassifier")
-    CLASSIFIER_REGISTRY[kind] = cls
 
 
 class ClassifierSpec(Spec):

@@ -35,7 +35,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from ..validation import is_count
+from ..validation import count
 from .base import BinaryClassifier
 from .tree import midpoint, sort_orders
 
@@ -460,10 +460,7 @@ class _SortedFeatures:
 class DiscreteAdaBoost(BinaryClassifier):
     supports_probability = True
 
-    def __init__(self, n_rounds=50):
-        if not is_count(n_rounds):
-            raise ValueError(f"n_rounds must be >= 1 (an int), got {n_rounds!r}")
-        self.n_rounds = n_rounds
+    options = {"n_rounds": (50, count(1))}
 
     def _fit(self, X, y):
         sf = _SortedFeatures(X, y)
@@ -507,10 +504,7 @@ class DiscreteAdaBoost(BinaryClassifier):
 class RealAdaBoost(BinaryClassifier):
     supports_probability = True
 
-    def __init__(self, n_rounds=50):
-        if not is_count(n_rounds):
-            raise ValueError(f"n_rounds must be >= 1 (an int), got {n_rounds!r}")
-        self.n_rounds = n_rounds
+    options = {"n_rounds": (50, count(1))}
 
     def _fit(self, X, y):
         sf = _SortedFeatures(X, y)

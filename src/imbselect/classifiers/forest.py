@@ -14,34 +14,22 @@ instance-hardness undersampler).
 import numpy as np
 
 from ..base import derive_rng, derive_seed
-from ..validation import is_count
+from ..validation import FLAG, SEED, choice, count
 from .base import BinaryClassifier
-from .tree import DecisionTreeClassifier, check_tree_options, presort
+from .tree import MAX_DEPTH, MAX_FEATURES, DecisionTreeClassifier, presort
 
 
 class RandomForestClassifier(BinaryClassifier):
     supports_probability = True
 
-    def __init__(
-        self,
-        n_trees=100,
-        max_depth=None,
-        max_features="sqrt",
-        bootstrap=True,
-        probability_mode="vote",
-        seed=0,
-    ):
-        if not is_count(n_trees):
-            raise ValueError(f"n_trees must be >= 1 (an int), got {n_trees!r}")
-        if probability_mode not in ("vote", "leaf_mean"):
-            raise ValueError(f"unknown probability_mode {probability_mode!r}")
-        check_tree_options(max_depth, max_features)
-        self.n_trees = n_trees
-        self.max_depth = max_depth
-        self.max_features = max_features
-        self.bootstrap = bootstrap
-        self.probability_mode = probability_mode
-        self.seed = seed
+    options = {
+        "n_trees": (100, count(1)),
+        "max_depth": (None, MAX_DEPTH),
+        "max_features": ("sqrt", MAX_FEATURES),
+        "bootstrap": (True, FLAG),
+        "probability_mode": ("vote", choice("vote", "leaf_mean")),
+        "seed": SEED,
+    }
 
     def _fit(self, X, y, presorted=None):
         """``presorted`` is ``presort(X)`` when the caller holds it already."""

@@ -2,7 +2,7 @@
 
 import numpy as np
 
-from ..validation import is_real
+from ..validation import real
 from .base import BinaryClassifier
 
 
@@ -17,10 +17,7 @@ class GaussianNaiveBayes(BinaryClassifier):
 
     supports_probability = True
 
-    def __init__(self, var_floor_ratio=1e-9):
-        if not (is_real(var_floor_ratio) and var_floor_ratio > 0):
-            raise ValueError(f"var_floor_ratio must be > 0, got {var_floor_ratio!r}")
-        self.var_floor_ratio = var_floor_ratio
+    options = {"var_floor_ratio": (1e-9, real(0, strict=True))}
 
     def _fit(self, X, y):
         floor = self.var_floor_ratio * float(X.var(axis=0).max())
@@ -54,10 +51,7 @@ class QuadraticDiscriminant(BinaryClassifier):
 
     supports_probability = True
 
-    def __init__(self, reg_ratio=1e-6):
-        if not (is_real(reg_ratio) and reg_ratio >= 0):
-            raise ValueError(f"reg_ratio must be >= 0, got {reg_ratio!r}")
-        self.reg_ratio = reg_ratio
+    options = {"reg_ratio": (1e-6, real(0))}
 
     def _fit(self, X, y):
         p = X.shape[1]

@@ -39,7 +39,7 @@ rare, and the fit costs about what the per-row loop costs.
 import numpy as np
 
 from ..base import derive_rng
-from ..validation import is_count, is_real
+from ..validation import SEED, count, real
 from .base import BinaryClassifier
 
 # Clean rows in a row before blocks are screened, and the block lengths.
@@ -81,14 +81,7 @@ class LogisticRegression(_LinearModel):
 
     supports_probability = True
 
-    def __init__(self, l2=1e-4, max_epochs=500, tol=1e-8):
-        if not (is_real(l2) and l2 >= 0 and is_count(max_epochs)):
-            raise ValueError("l2 must be >= 0 and max_epochs >= 1 (an int)")
-        if not (is_real(tol) and tol >= 0):
-            raise ValueError(f"tol must be >= 0, got {tol!r}")
-        self.l2 = l2
-        self.max_epochs = max_epochs
-        self.tol = tol
+    options = {"l2": (1e-4, real(0)), "max_epochs": (500, count(1)), "tol": (1e-8, real(0))}
 
     def _fit(self, X, y):
         y = y.astype(np.float64)
@@ -128,10 +121,7 @@ class LogisticRegression(_LinearModel):
 class RidgeClassifier(_LinearModel):
     """Closed-form least squares on +-1 targets, unpenalized intercept."""
 
-    def __init__(self, l2=1.0):
-        if not (is_real(l2) and l2 >= 0):
-            raise ValueError(f"l2 must be >= 0, got {l2!r}")
-        self.l2 = l2
+    options = {"l2": (1.0, real(0))}
 
     def _fit(self, X, y):
         targets = 2.0 * y - 1.0
@@ -254,12 +244,11 @@ class Perceptron(_UpdateOnMargin):
 
     threshold = 0.0
 
-    def __init__(self, epochs=50, learning_rate=1.0, seed=0):
-        if not (is_count(epochs) and is_real(learning_rate) and learning_rate > 0):
-            raise ValueError("epochs must be >= 1 (an int) and learning_rate > 0")
-        self.epochs = epochs
-        self.learning_rate = learning_rate
-        self.seed = seed
+    options = {
+        "epochs": (50, count(1)),
+        "learning_rate": (1.0, real(0, strict=True)),
+        "seed": SEED,
+    }
 
     def _step_size(self, X):
         rate = self.learning_rate
@@ -269,13 +258,12 @@ class Perceptron(_UpdateOnMargin):
 class HingeSGD(_LinearModel):
     """Linear SVM objective by SGD: hinge loss with l2 shrinkage."""
 
-    def __init__(self, l2=1e-4, epochs=50, eta0=0.01, seed=0):
-        if not (is_real(l2) and l2 > 0 and is_real(eta0) and eta0 > 0 and is_count(epochs)):
-            raise ValueError("l2 and eta0 must be > 0, epochs >= 1 (an int)")
-        self.l2 = l2
-        self.epochs = epochs
-        self.eta0 = eta0
-        self.seed = seed
+    options = {
+        "l2": (1e-4, real(0, strict=True)),
+        "epochs": (50, count(1)),
+        "eta0": (0.01, real(0, strict=True)),
+        "seed": SEED,
+    }
 
     def _fit(self, X, y):
         signs = 2.0 * y - 1.0
@@ -329,12 +317,11 @@ class PassiveAggressive(_UpdateOnMargin):
 
     threshold = 1.0
 
-    def __init__(self, aggressiveness=1.0, epochs=50, seed=0):
-        if not (is_real(aggressiveness) and aggressiveness > 0 and is_count(epochs)):
-            raise ValueError("aggressiveness must be > 0 and epochs >= 1 (an int)")
-        self.aggressiveness = aggressiveness
-        self.epochs = epochs
-        self.seed = seed
+    options = {
+        "aggressiveness": (1.0, real(0, strict=True)),
+        "epochs": (50, count(1)),
+        "seed": SEED,
+    }
 
     def _step_size(self, X):
         sq_norms = (X * X).sum(axis=1) + 1.0  # +1 for the bias coordinate

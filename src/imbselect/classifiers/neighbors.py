@@ -16,7 +16,7 @@ two functions.
 
 import numpy as np
 
-from ..validation import is_count
+from ..validation import count
 from .base import BinaryClassifier
 
 # Test rows per distance chunk. OpenBLAS gemm bits depend on the operand
@@ -72,10 +72,7 @@ def positive_counts(d2, positive, k):
 class KNeighborsClassifier(BinaryClassifier):
     supports_probability = True
 
-    def __init__(self, k=5):
-        if not is_count(k):
-            raise ValueError(f"k must be >= 1 (an int), got {k!r}")
-        self.k = k
+    options = {"k": (5, count(1))}
 
     def _fit(self, X, y):
         self._train_X = X

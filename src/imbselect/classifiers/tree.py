@@ -42,10 +42,13 @@ from functools import partial
 import numpy as np
 
 from ..base import derive_rng
-from ..validation import is_count
+from ..validation import SEED, count
 from .base import BinaryClassifier
 
 _LEAF = -1
+# the rules of the options a forest passes on to its trees
+MAX_DEPTH = count(1, None)
+MAX_FEATURES = count(1, None, "sqrt")
 # Nodes holding at least 1/_PRESORT_SHARE of the fit's draws filter the
 # shared presort; smaller ones argsort their own rows.
 _PRESORT_SHARE = 16
@@ -238,25 +241,15 @@ def _run_end_split(X, presorted, member, counts, pos_counts, pos_rows, n, n_pos,
     return best_score, int(feature_ids[best]), midpoint(xs[best], c), node_rows[: c + 1], node_rows[c + 1 :]
 
 
-def check_tree_options(max_depth, max_features):
-    """Raise ValueError for a depth or feature count no tree can grow with."""
-    if not (max_depth is None or is_count(max_depth)):
-        raise ValueError(f"max_depth must be None or an int >= 1, got {max_depth!r}")
-    if not (max_features is None or max_features == "sqrt" or is_count(max_features)):
-        raise ValueError(
-            f"max_features must be None, 'sqrt' or an int >= 1, got {max_features!r}"
-        )
-
-
 class DecisionTreeClassifier(BinaryClassifier):
     supports_probability = True
 
-    def __init__(self, max_depth=None, min_samples_split=2, max_features=None, seed=0):
-        check_tree_options(max_depth, max_features)
-        self.max_depth = max_depth
-        self.min_samples_split = min_samples_split
-        self.max_features = max_features
-        self.seed = seed
+    options = {
+        "max_depth": (None, MAX_DEPTH),
+        "min_samples_split": (2, count(2)),
+        "max_features": (None, MAX_FEATURES),
+        "seed": SEED,
+    }
 
     def _feature_ids(self, p, rng):
         if self.max_features is None:

@@ -7,11 +7,11 @@ formats, workers), plus optional ``[sampler.<kind>]`` and
 those three sections do not read, is an error: a misspelt name would
 otherwise fall back to its default without a word.
 
-An override section's keys are constructor arguments of that kind, checked
-when its spec is made, whether or not the grid lists that kind. Diagnostics
-come in two severities: errors block a run, warnings do not (dims beyond the
-dataset width are clamped at run time, an even top_k only breaks the
-hard-voting row).
+An override section's keys are options of that kind, checked against its
+``options`` table when its spec is made, whether or not the grid lists that
+kind. Diagnostics come in two severities: errors block a run, warnings do
+not (dims beyond the dataset width are clamped at run time, an even top_k
+only breaks the hard-voting row).
 """
 
 import configparser

@@ -17,7 +17,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .base import BaseEstimator, derive_rng
+from .base import derive_rng
 from .validation import check_array, check_labels
 
 
@@ -311,7 +311,7 @@ def load_csv(path, label_column, positive_label=1):
     )
 
 
-class ColumnStandardizer(BaseEstimator):
+class ColumnStandardizer:
     """Standardize named columns to zero mean and unit population stddev.
 
     Constant columns get scale 1 (values shift to 0). ``columns=None``

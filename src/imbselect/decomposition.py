@@ -8,12 +8,11 @@ passthrough selector instead of a refit.
 
 import numpy as np
 
-from .base import BaseEstimator
 from .dataset import freeze
 from .validation import check_array, check_feature_width
 
 
-class PrincipalComponents(BaseEstimator):
+class PrincipalComponents:
     """Full PCA basis with orthonormal rows ordered by explained variance.
 
     ``components_[k]`` is the (k+1)-th principal direction; its

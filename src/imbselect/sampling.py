@@ -7,8 +7,10 @@ replacement), oversamplers append to the original rows, and all synthetic
 minority points lie on segments between minority neighbours.
 
 ``target_ratio`` is the desired minority/majority count ratio after
-resampling; 1.0 means full balance. Constructors check their arguments'
-ranges, so a bad option fails when its spec is made.
+resampling; 1.0 means full balance. Each sampler lists its options, their
+defaults and their rules in its ``options`` table; the base class builds
+the sampler from it and checks every value, so a bad option fails when its
+spec is made.
 """
 
 import numpy as np
@@ -18,13 +20,9 @@ from .classifiers.forest import RandomForestClassifier
 from .classifiers.neighbors import positive_counts, squared_distances
 from .classifiers.tree import presort, presort_rows, sort_orders
 from .dataset import Dataset, freeze, round_half_away, stratified_folds
-from .validation import check_X_y, is_count, is_real, require_both_classes
+from .validation import FLAG, SEED, check_X_y, count, real, require_both_classes
 
-
-def _check_ratio(target_ratio):
-    if not (is_real(target_ratio) and 0.0 < target_ratio <= 1.0):
-        raise ValueError(f"target_ratio must be in (0, 1], got {target_ratio}")
-    return target_ratio
+_TARGET_RATIO = (1.0, real(0, 1, strict=True))
 
 
 def _class_indices(y):
@@ -69,10 +67,7 @@ class IdentitySampler(BaseEstimator):
 
 
 class RandomUnderSampler(BaseEstimator):
-    def __init__(self, target_ratio=1.0, with_replacement=False, seed=0):
-        self.target_ratio = _check_ratio(target_ratio)
-        self.with_replacement = with_replacement
-        self.seed = seed
+    options = {"target_ratio": _TARGET_RATIO, "with_replacement": (False, FLAG), "seed": SEED}
 
     def fit_resample(self, X, y):
         X, y = check_X_y(X, y)
@@ -97,12 +92,7 @@ class InstanceHardnessThreshold(BaseEstimator):
     fold. The full orders are held across the folds.
     """
 
-    def __init__(self, target_ratio=1.0, iht_folds=5, seed=0):
-        self.target_ratio = _check_ratio(target_ratio)
-        if not is_count(iht_folds, 2):
-            raise ValueError(f"iht_folds must be >= 2 (an int), got {iht_folds!r}")
-        self.iht_folds = iht_folds
-        self.seed = seed
+    options = {"target_ratio": _TARGET_RATIO, "iht_folds": (5, count(2)), "seed": SEED}
 
     def _out_of_fold_true_class_probability(self, X, y):
         folds = stratified_folds(y, self.iht_folds, seed=derive_seed(self.seed, "iht_folds"))
@@ -141,9 +131,7 @@ class InstanceHardnessThreshold(BaseEstimator):
 
 
 class RandomOverSampler(BaseEstimator):
-    def __init__(self, target_ratio=1.0, seed=0):
-        self.target_ratio = _check_ratio(target_ratio)
-        self.seed = seed
+    options = {"target_ratio": _TARGET_RATIO, "seed": SEED}
 
     def fit_resample(self, X, y):
         X, y = check_X_y(X, y)
@@ -172,12 +160,7 @@ def smote_synthesize(minority, k_neighbors, count, rng):
 
 
 class Smote(BaseEstimator):
-    def __init__(self, target_ratio=1.0, k_neighbors=5, seed=0):
-        self.target_ratio = _check_ratio(target_ratio)
-        if not is_count(k_neighbors):
-            raise ValueError(f"k_neighbors must be >= 1 (an int), got {k_neighbors!r}")
-        self.k_neighbors = k_neighbors
-        self.seed = seed
+    options = {"target_ratio": _TARGET_RATIO, "k_neighbors": (5, count(1)), "seed": SEED}
 
     def fit_resample(self, X, y):
         X, y = check_X_y(X, y)
@@ -215,12 +198,7 @@ class Adasyn(BaseEstimator):
     """SMOTE-style interpolation with density-adaptive allocation: minority
     points surrounded by majority neighbours receive more synthetics."""
 
-    def __init__(self, target_ratio=1.0, k_neighbors=5, seed=0):
-        self.target_ratio = _check_ratio(target_ratio)
-        if not is_count(k_neighbors):
-            raise ValueError(f"k_neighbors must be >= 1 (an int), got {k_neighbors!r}")
-        self.k_neighbors = k_neighbors
-        self.seed = seed
+    options = Smote.options
 
     def _hardness(self, X, y, pos_idx):
         k = self.k_neighbors

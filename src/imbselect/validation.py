@@ -1,23 +1,66 @@
-"""Input validation helpers used across estimators."""
+"""Input validation helpers used across estimators, and the rules that
+estimator options are checked against."""
 
 import math
 import numbers
+from collections import namedtuple
 
 import numpy as np
 
 
 def is_count(value, low=1):
-    """True for an int (a bool is not one) of at least ``low``. Every count
-    option goes through this, so that 2.5 fails when its spec is made rather
-    than in every fit."""
+    """True for an int (a bool is not one) of at least ``low``, so that 2.5
+    fails when its spec is made rather than in every fit."""
     return isinstance(value, numbers.Integral) and not isinstance(value, bool) and value >= low
 
 
 def is_real(value):
-    """True for a finite real number (a bool is not one). Every float option's
-    range check goes through this, so that ``inf`` fails when its spec is
-    made rather than scoring NaN in every fit."""
+    """True for a finite real number (a bool is not one), so that ``inf``
+    fails when its spec is made rather than scoring NaN in every fit."""
     return isinstance(value, numbers.Real) and not isinstance(value, bool) and math.isfinite(value)
+
+
+# An option's rule: ``text`` completes "<name> must be ...", and ``accepts``
+# says whether a value meets it. Estimators list theirs in ``options``.
+Rule = namedtuple("Rule", "text accepts")
+
+
+def _either(parts):
+    return f"{', '.join(parts[:-1])} or {parts[-1]}"
+
+
+def count(low, *also):
+    """An int of at least ``low``, or one of the values ``also``."""
+    if not also:
+        return Rule(f">= {low} (an int)", lambda value: is_count(value, low))
+    return Rule(
+        _either([*map(repr, also), f"an int >= {low}"]),
+        lambda value: value in also or is_count(value, low),
+    )
+
+
+def real(low, high=None, strict=False):
+    """A finite real above ``low`` (or equal to it unless ``strict``), and
+    at most ``high`` if given."""
+    if high is None:
+        text = f"{'>' if strict else '>='} {low}"
+    else:
+        text = f"in {'(' if strict else '['}{low}, {high}]"
+    return Rule(
+        text,
+        lambda value: is_real(value)
+        and (value > low if strict else value >= low)
+        and (high is None or value <= high),
+    )
+
+
+def choice(*values):
+    """One of the fixed ``values``."""
+    return Rule(_either(list(map(repr, values))), lambda value: value in values)
+
+
+FLAG = Rule("a bool", lambda value: isinstance(value, bool))
+SEED = (0, count(0))  # the table entry of an estimator that takes a seed
 
 
 def check_array(X, name="X"):

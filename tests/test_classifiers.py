@@ -14,7 +14,6 @@ from imbselect.classifiers import (
     CLASSIFIER_REGISTRY,
     ClassifierSpec,
     make_classifier,
-    register_classifier,
 )
 from imbselect.classifiers import boosting as boosting_module
 from imbselect.classifiers.boosting import DiscreteAdaBoost, RealAdaBoost
@@ -34,6 +33,8 @@ from imbselect.classifiers.linear import (
 from imbselect.classifiers.neighbors import KNeighborsClassifier
 from imbselect.classifiers import tree as tree_module
 from imbselect.classifiers.tree import DecisionTreeClassifier
+from imbselect.sampling import RandomUnderSampler
+from imbselect.validation import SEED
 
 ALL_KINDS = sorted(CLASSIFIER_REGISTRY)
 
@@ -386,17 +387,24 @@ def test_spec_rejects_unknown_option():
         ClassifierSpec("random_forest", {"n_tree": 10})
 
 
+# A case whose message named several options before each option had its own
+# message keeps the id it had then, so that case names stay stable.
 @pytest.mark.parametrize(
     "cls, params, message",
     [
         (KNeighborsClassifier, {"k": 0}, "k must be >= 1"),
         (RandomForestClassifier, {"n_trees": 0}, "n_trees must be >= 1"),
-        (RandomForestClassifier, {"probability_mode": "mean"}, "unknown probability_mode"),
-        (LogisticRegression, {"max_epochs": 0}, "max_epochs >= 1"),
+        pytest.param(RandomForestClassifier, {"probability_mode": "mean"},
+                     "probability_mode must be 'vote' or 'leaf_mean', got 'mean'",
+                     id="RandomForestClassifier-params2-unknown probability_mode"),
+        pytest.param(LogisticRegression, {"max_epochs": 0}, "max_epochs must be >= 1",
+                     id="LogisticRegression-params3-max_epochs >= 1"),
         (RidgeClassifier, {"l2": -1.0}, "l2 must be >= 0"),
-        (Perceptron, {"learning_rate": 0.0}, "learning_rate > 0"),
+        pytest.param(Perceptron, {"learning_rate": 0.0}, "learning_rate must be > 0",
+                     id="Perceptron-params5-learning_rate > 0"),
         (HingeSGD, {"eta0": 0.0}, "eta0 must be > 0"),
-        (PassiveAggressive, {"epochs": 0}, "epochs >= 1"),
+        pytest.param(PassiveAggressive, {"epochs": 0}, "epochs must be >= 1",
+                     id="PassiveAggressive-params7-epochs >= 1"),
         (DecisionTreeClassifier, {"max_depth": 0}, "max_depth must be None or an int >= 1"),
         (RandomForestClassifier, {"max_depth": -1}, "max_depth must be None or an int >= 1"),
         (RandomForestClassifier, {"max_features": "log2"}, "max_features must be None, 'sqrt'"),
@@ -410,28 +418,46 @@ def test_spec_rejects_unknown_option():
         (KNeighborsClassifier, {"k": True}, "k must be >= 1"),
         (RandomForestClassifier, {"n_trees": 2.5}, "n_trees must be >= 1"),
         (Perceptron, {"epochs": 1.5}, "epochs must be >= 1"),
-        (HingeSGD, {"epochs": 1.5}, "epochs >= 1"),
-        (PassiveAggressive, {"epochs": 1.5}, "epochs >= 1"),
-        (LogisticRegression, {"max_epochs": 2.5}, "max_epochs >= 1"),
+        pytest.param(HingeSGD, {"epochs": 1.5}, "epochs must be >= 1",
+                     id="HingeSGD-params20-epochs >= 1"),
+        pytest.param(PassiveAggressive, {"epochs": 1.5}, "epochs must be >= 1",
+                     id="PassiveAggressive-params21-epochs >= 1"),
+        pytest.param(LogisticRegression, {"max_epochs": 2.5}, "max_epochs must be >= 1",
+                     id="LogisticRegression-params22-max_epochs >= 1"),
         (RidgeClassifier, {"l2": math.nan}, "l2 must be >= 0"),
         (HingeSGD, {"eta0": math.nan}, "eta0 must be > 0"),
-        (Perceptron, {"learning_rate": math.nan}, "learning_rate > 0"),
+        pytest.param(Perceptron, {"learning_rate": math.nan}, "learning_rate must be > 0",
+                     id="Perceptron-params25-learning_rate > 0"),
         (QuadraticDiscriminant, {"reg_ratio": -1}, "reg_ratio must be >= 0"),
         (GaussianNaiveBayes, {"var_floor_ratio": math.nan}, "var_floor_ratio must be > 0"),
         # inf passes every > and >= check, and a bool is an int to numpy
-        (HingeSGD, {"l2": math.inf}, "l2 and eta0 must be > 0"),
-        (HingeSGD, {"eta0": math.inf}, "l2 and eta0 must be > 0"),
+        pytest.param(HingeSGD, {"l2": math.inf}, "l2 must be > 0",
+                     id="HingeSGD-params28-l2 and eta0 must be > 0"),
+        pytest.param(HingeSGD, {"eta0": math.inf}, "eta0 must be > 0",
+                     id="HingeSGD-params29-l2 and eta0 must be > 0"),
         (RidgeClassifier, {"l2": math.inf}, "l2 must be >= 0"),
         (RidgeClassifier, {"l2": True}, "l2 must be >= 0"),
         (LogisticRegression, {"l2": math.inf}, "l2 must be >= 0"),
         (LogisticRegression, {"tol": math.nan}, "tol must be >= 0"),
         (LogisticRegression, {"tol": -1}, "tol must be >= 0"),
         (LogisticRegression, {"tol": math.inf}, "tol must be >= 0"),
-        (Perceptron, {"learning_rate": math.inf}, "learning_rate > 0"),
+        pytest.param(Perceptron, {"learning_rate": math.inf}, "learning_rate must be > 0",
+                     id="Perceptron-params36-learning_rate > 0"),
         (PassiveAggressive, {"aggressiveness": math.inf}, "aggressiveness must be > 0"),
         (PassiveAggressive, {"aggressiveness": True}, "aggressiveness must be > 0"),
         (GaussianNaiveBayes, {"var_floor_ratio": math.inf}, "var_floor_ratio must be > 0"),
         (QuadraticDiscriminant, {"reg_ratio": math.inf}, "reg_ratio must be >= 0"),
+        # options without a check before the option tables: sklearn's
+        # min_samples_split rule, and flags that must be bools
+        (DecisionTreeClassifier, {"min_samples_split": 0}, "min_samples_split must be >= 2"),
+        (DecisionTreeClassifier, {"min_samples_split": 1}, "min_samples_split must be >= 2"),
+        (DecisionTreeClassifier, {"min_samples_split": math.inf}, "min_samples_split must be >= 2"),
+        (DecisionTreeClassifier, {"min_samples_split": "abc"}, "min_samples_split must be >= 2"),
+        (DecisionTreeClassifier, {"min_samples_split": True}, "min_samples_split must be >= 2"),
+        (RandomForestClassifier, {"bootstrap": 2.5}, "bootstrap must be a bool, got 2.5"),
+        (RandomUnderSampler, {"with_replacement": "maybe"},
+         "with_replacement must be a bool, got 'maybe'"),
+        (RandomUnderSampler, {"with_replacement": 1}, "with_replacement must be a bool, got 1"),
     ],
 )
 def test_constructors_check_ranges(cls, params, message):
@@ -489,11 +515,9 @@ def test_make_classifier_derives_distinct_seeds():
 
 def test_registered_kind_gets_a_seed_when_its_constructor_takes_one(monkeypatch):
     class SeededConstant(ConstantPositive):
-        def __init__(self, seed=0):
-            self.seed = seed
+        options = {"seed": SEED}
 
-    monkeypatch.setitem(CLASSIFIER_REGISTRY, "seeded_constant", ConstantPositive)
-    register_classifier("seeded_constant", SeededConstant)
+    monkeypatch.setitem(CLASSIFIER_REGISTRY, "seeded_constant", SeededConstant)
     model = make_classifier(ClassifierSpec("seeded_constant"), seed=5)
     assert model.seed == derive_seed(5, 0, "seeded_constant")
     # the seed is always derived: it is not an option

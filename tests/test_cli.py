@@ -439,7 +439,7 @@ def test_misspelt_key_or_section_is_config_error(
         (
             {"classifiers": "sgd_hinge"},
             "[classifier.sgd_hinge]\neta0 = 0",
-            "l2 and eta0 must be > 0, epochs >= 1",
+            "eta0 must be > 0, got 0",
         ),
         # options that fail every fit, or leave nothing to fit
         (
@@ -464,26 +464,32 @@ def test_misspelt_key_or_section_is_config_error(
         ({}, "[classifier.random_forest]\nn_trees = 2.5",
          "n_trees must be >= 1 (an int), got 2.5"),
         ({}, "[classifier.perceptron]\nepochs = 1.5",
-         "epochs must be >= 1 (an int) and learning_rate > 0"),
+         "epochs must be >= 1 (an int), got 1.5"),
         ({}, "[classifier.logistic_regression]\nmax_epochs = 2.5",
-         "l2 must be >= 0 and max_epochs >= 1 (an int)"),
+         "max_epochs must be >= 1 (an int), got 2.5"),
         ({}, "[sampler.smote]\nk_neighbors = 2.5",
          "k_neighbors must be >= 1 (an int), got 2.5"),
         ({}, "[sampler.instance_hardness_threshold]\niht_folds = 2.5",
          "iht_folds must be >= 2 (an int), got 2.5"),
         ({}, "[classifier.ridge]\nl2 = nan", "l2 must be >= 0, got nan"),
-        ({}, "[classifier.sgd_hinge]\neta0 = nan", "l2 and eta0 must be > 0, epochs >= 1"),
+        ({}, "[classifier.sgd_hinge]\neta0 = nan", "eta0 must be > 0, got nan"),
         ({}, "[classifier.quadratic_da]\nreg_ratio = -1", "reg_ratio must be >= 0, got -1"),
         # inf clears every > and >= check, and true reads as the int 1
-        ({}, "[classifier.sgd_hinge]\nl2 = inf", "l2 and eta0 must be > 0, epochs >= 1"),
+        ({}, "[classifier.sgd_hinge]\nl2 = inf", "l2 must be > 0, got inf"),
         ({}, "[classifier.ridge]\nl2 = 1e999", "l2 must be >= 0, got inf"),
         ({}, "[classifier.ridge]\nl2 = true", "l2 must be >= 0, got True"),
         ({}, "[classifier.logistic_regression]\ntol = -1", "tol must be >= 0, got -1"),
         ({}, "[classifier.passive_aggressive]\naggressiveness = inf",
-         "aggressiveness must be > 0 and epochs >= 1 (an int)"),
+         "aggressiveness must be > 0, got inf"),
         ({}, "[classifier.gaussian_nb]\nvar_floor_ratio = inf",
          "var_floor_ratio must be > 0, got inf"),
         ({}, "[sampler.smote]\ntarget_ratio = true", "target_ratio must be in (0, 1], got True"),
+        # a string used to pass the spec and then fail every fit
+        ({}, "[classifier.decision_tree]\nmin_samples_split = abc",
+         "min_samples_split must be >= 2 (an int), got 'abc'"),
+        # every bad option of a section is named, in the kind's table order
+        ({}, "[classifier.sgd_hinge]\neta0 = 0\nl2 = -1",
+         "l2 must be > 0, got -1; eta0 must be > 0, got 0"),
     ],
     ids=["smote-k_neigbors", "smote-target_ratio", "knn-kk", "knn-k", "forest-n_trees",
          "sgd_hinge-eta0", "forest-max_features", "adaboost_real-n_rounds",
@@ -493,7 +499,8 @@ def test_misspelt_key_or_section_is_config_error(
          "iht-iht_folds-float", "ridge-l2-nan", "sgd_hinge-eta0-nan",
          "quadratic_da-reg_ratio-negative", "sgd_hinge-l2-inf", "ridge-l2-1e999",
          "ridge-l2-bool", "logistic_regression-tol-negative", "passive_aggressive-inf",
-         "gaussian_nb-var_floor_ratio-inf", "smote-target_ratio-bool"],
+         "gaussian_nb-var_floor_ratio-inf", "smote-target_ratio-bool",
+         "decision_tree-min_samples_split-string", "sgd_hinge-two-bad-options"],
 )
 def test_bad_override_section_is_config_error(
     tmp_path, fixture_csv, capsys, grid, text, message

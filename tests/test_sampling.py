@@ -56,7 +56,7 @@ def row_multiset(X):
     return sorted(map(tuple, X.tolist()))
 
 
-# every constructor argument but ``seed``, each set away from its default
+# every option but ``seed``, each set away from its default
 NON_DEFAULT_OPTIONS = {
     "none": {},
     "random_under": {"target_ratio": 0.5, "with_replacement": True},
@@ -394,7 +394,7 @@ class TestResampleContract:
 def test_make_sampler_takes_every_argument_from_the_spec(kind):
     options = NON_DEFAULT_OPTIONS[kind]
     seed = {} if kind == "none" else {"seed": derive_seed(9, 0, kind)}
-    # an unfitted sampler's attributes are its constructor arguments
+    # an unfitted sampler's attributes are its options
     assert vars(SamplerSpec(kind, options).build(seed=9)) == {**options, **seed}
     # another kind's option, and the always-derived seed, are not options
     other = "k_neighbors" if kind == "instance_hardness_threshold" else "iht_folds"
