@@ -9,9 +9,10 @@ otherwise fall back to its default without a word.
 
 An override section's keys are options of that kind, checked against its
 ``options`` table when its spec is made, whether or not the grid lists that
-kind. Diagnostics come in two severities: errors block a run, warnings do
-not (dims beyond the dataset width are clamped at run time, an even top_k
-only breaks the hard-voting row).
+kind; ``none`` in any case reads as None there. Diagnostics come in two
+severities: errors block a run, warnings do not (dims beyond the dataset
+width are clamped at run time, an even top_k only breaks the hard-voting
+row).
 """
 
 import configparser
@@ -84,10 +85,16 @@ def _parse_value(text):
     return text.strip()
 
 
+def _option_value(text):
+    """An estimator option's value: ``none`` in any case is None, the
+    default of options such as ``max_depth``."""
+    return None if text.strip().lower() == "none" else _parse_value(text)
+
+
 def _section_params(parser, name):
     if not parser.has_section(name):
         return {}
-    return {key: _parse_value(value) for key, value in parser.items(name)}
+    return {key: _option_value(value) for key, value in parser.items(name)}
 
 
 def _layout_errors(parser):

@@ -9,6 +9,7 @@ between runs.
 
 import csv
 import json
+import os
 import platform
 import sys
 from pathlib import Path
@@ -151,12 +152,27 @@ def _safe(label):
     return "".join(ch if ch.isalnum() else "_" for ch in label)
 
 
+def _blas():
+    """numpy's BLAS name and version as its build recorded them; None for
+    each where it records neither (numpy before 1.26)."""
+    try:
+        blas = np.show_config(mode="dicts")["Build Dependencies"]["blas"]
+    except (TypeError, KeyError):
+        blas = {}
+    return {"name": blas.get("name"), "version": blas.get("version")}
+
+
 def write_manifest(path, result, dataset_sha256, dataset_path, setup_seconds):
     payload = {
         "master_seed": result.grid.master_seed,
         "package_version": __version__,
         "python_version": sys.version.split()[0],
         "numpy_version": np.__version__,
+        "blas": _blas(),
+        # BLAS reads its thread count when numpy loads; None when unset
+        "blas_threads": {
+            name: os.environ.get(name) for name in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS")
+        },
         "platform": platform.platform(),
         "dataset_path": str(dataset_path),
         "dataset_sha256": dataset_sha256,

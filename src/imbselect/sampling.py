@@ -206,10 +206,8 @@ class Adasyn(BaseEstimator):
             raise ValueError(
                 f"k_neighbors={k} must be below the training-set size {X.shape[0]}"
             )
-        # one positives × train product: re-chunking its rows changes the bits
-        d2 = squared_distances(X[pos_idx], X, (X * X).sum(axis=1))
-        d2[np.arange(len(pos_idx)), pos_idx] = np.inf  # self
-        return (k - positive_counts(d2, y == 1, k)) / k
+        counts = positive_counts(X[pos_idx], X, (X * X).sum(axis=1), y == 1, k, exclude=pos_idx)
+        return (k - counts) / k
 
     def fit_resample(self, X, y):
         X, y = check_X_y(X, y)

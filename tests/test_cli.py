@@ -9,6 +9,7 @@ import sys
 import tracemalloc
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 from imbselect.cli import main
@@ -221,6 +222,23 @@ class TestRun:
         assert "f1__none.csv" in figures
         series = read_rows(out / "figures" / "f1__none.csv")
         assert len(series) - 1 == 2  # one row per dims entry
+
+    def test_manifest_records_blas_and_its_threads(
+        self, tmp_path, fixture_csv, capsys, monkeypatch
+    ):
+        monkeypatch.setenv("OPENBLAS_NUM_THREADS", "1")
+        monkeypatch.delenv("OMP_NUM_THREADS", raising=False)
+        config = write_config(
+            tmp_path, fixture_csv, samplers="none", classifiers="dummy", top_k="1"
+        )
+        assert main(["run", "--config", str(config)]) == 0
+        capsys.readouterr()
+        text = (tmp_path / "out" / "run_manifest.json").read_text()
+        manifest = json.loads(text)
+        blas = np.show_config(mode="dicts")["Build Dependencies"]["blas"]
+        assert manifest["blas"] == {"name": blas["name"], "version": blas["version"]}
+        assert manifest["blas_threads"] == {"OPENBLAS_NUM_THREADS": "1", "OMP_NUM_THREADS": None}
+        assert '"OMP_NUM_THREADS": null' in text
 
     def test_reports_follow_the_clamped_grid(self, tmp_path, fixture_csv):
         # the fixture has 5 encoded columns: 40 and 50 both run as dims 5
@@ -490,6 +508,9 @@ def test_misspelt_key_or_section_is_config_error(
         # every bad option of a section is named, in the kind's table order
         ({}, "[classifier.sgd_hinge]\neta0 = 0\nl2 = -1",
          "l2 must be > 0, got -1; eta0 must be > 0, got 0"),
+        # none reads as None, which only some options take
+        ({}, "[classifier.knn]\nk = None", "k must be >= 1 (an int), got None"),
+        ({}, "[sampler.smote]\ntarget_ratio = NONE", "target_ratio must be in (0, 1], got None"),
     ],
     ids=["smote-k_neigbors", "smote-target_ratio", "knn-kk", "knn-k", "forest-n_trees",
          "sgd_hinge-eta0", "forest-max_features", "adaboost_real-n_rounds",
@@ -500,7 +521,8 @@ def test_misspelt_key_or_section_is_config_error(
          "quadratic_da-reg_ratio-negative", "sgd_hinge-l2-inf", "ridge-l2-1e999",
          "ridge-l2-bool", "logistic_regression-tol-negative", "passive_aggressive-inf",
          "gaussian_nb-var_floor_ratio-inf", "smote-target_ratio-bool",
-         "decision_tree-min_samples_split-string", "sgd_hinge-two-bad-options"],
+         "decision_tree-min_samples_split-string", "sgd_hinge-two-bad-options",
+         "knn-k-none", "smote-target_ratio-none"],
 )
 def test_bad_override_section_is_config_error(
     tmp_path, fixture_csv, capsys, grid, text, message
@@ -561,6 +583,34 @@ def test_bytes_that_are_not_utf8_are_reported(tmp_path, fixture_csv, capsys, whe
         assert code == 3 and err.startswith("dataset error: ")
         assert "row 2, column 'Time'" in err
     assert not (tmp_path / "out").exists()
+
+
+@pytest.mark.parametrize(
+    "kind, text",
+    [
+        ("decision_tree", "max_depth = none\nmax_features = None"),
+        ("random_forest", "n_trees = 3\nmax_depth = NONE\nmax_features = none"),
+    ],
+)
+def test_none_in_an_override_section_is_none(tmp_path, fixture_csv, capsys, kind, text):
+    config = write_config(tmp_path, fixture_csv, classifiers=f"dummy, {kind}")
+    with open(config, "a", encoding="utf-8") as handle:
+        handle.write(f"\n[classifier.{kind}]\n{text}\n")
+    assert validate_config(config) == []
+    run_config, _ = load_config(config)
+    spec = run_config.grid.classifier_specs[1]
+    assert spec.params["max_depth"] is None and spec.params["max_features"] is None
+    assert main(["run", "--config", str(config)]) == 0
+    capsys.readouterr()
+    models = {row[1] for row in read_rows(tmp_path / "out" / "leaderboard.csv")[1:]}
+    assert spec.label in models
+
+
+def test_none_in_a_fixed_key_stays_text(tmp_path, fixture_csv):
+    config = write_config(tmp_path, fixture_csv)
+    body = config.read_text(encoding="utf-8")
+    config.write_text(body.replace("positive_label = 1", "positive_label = none"), "utf-8")
+    assert load_config(config)[0].positive_label == "none"
 
 
 def test_override_section_of_a_known_kind_outside_the_grid_is_accepted(
