@@ -138,7 +138,7 @@ class KNeighborsClassifier(BinaryClassifier):
     def _fit(self, X, y):
         self._train_X = X
         self._train_y = y
-        self._train_sq = (X * X).sum(axis=1)
+        self._train_sq = np.einsum("ij,ij->i", X, X)  # no n x p temporary
 
     def _score(self, X):
         k = min(self.k, self._train_X.shape[0])

@@ -1,9 +1,15 @@
 """CART decision tree grown to purity unless capped.
 
-Splits minimize the weighted child Gini impurity over midpoint thresholds.
-Ties break to the lowest feature index, then the lowest threshold, so the
-tree is a pure function of the training set. Building is iterative (an
-explicit stack), which keeps deep trees off the Python recursion limit.
+A split is the midpoint threshold of the class-run end with the least
+weighted child Gini. A class run is a stretch of cuts with the same
+positive draws on their left. Along a run the weighted Gini, 2P - 2P²/W on
+each side for P positive draws of W, is concave in the left draw count, so
+in exact arithmetic the run's least value is at one of its ends (Fayyad &
+Irani, 1992); a cut inside a run, whose computed Gini may tie or undercut
+its ends by rounding, is never the split. Ties break to the lowest feature
+index, then the lowest threshold, so the tree is a pure function of the
+training set. Building is iterative (an explicit stack), which keeps deep
+trees off the Python recursion limit.
 
 A tree grows from per-row counts over a shared matrix: a forest passes its
 bootstrap draw as counts (how often each row was drawn) instead of copying
@@ -22,19 +28,14 @@ Both give the same tree bit for bit: ties among equal values never change a
 cut position, a count, a threshold or the order of random draws.
 
 A presorted node with few positive draws evaluates the Gini only at the
-ends of its class runs, the stretches of cuts with the same positive draws
-on their left. Along a run the weighted Gini, 2P - 2P²/W on each side for
-P positive draws of W, is concave in the left draw count, so the run's
-least value is at one of its ends (Fayyad & Irani, 1992). The runs come
-from the node's positive rows: their values bound the runs, and a binary
-search of each feature's sorted values finds each run's first and last cut.
-Computed values carry rounding, so a run whose end values differ by at
-most twice ``_GINI_SLACK`` per draw between them is evaluated at every cut.
-A node with more positive draws per draw than ``_DENSE_POSITIVES``, where
-runs are a cut or two long, or with fewer node rows times features than
-``_RUN_CELLS``, where the fixed cost of the runs exceeds the cuts they
-skip, evaluates every cut. Either way the node takes the split an
-every-cut search takes, with the same bits.
+run ends. The runs come from the node's positive rows: their values bound
+the runs, and a binary search of each feature's sorted values finds each
+run's first and last cut. A node with more positive draws per draw than
+``_DENSE_POSITIVES``, where runs are a cut or two long, or with fewer node
+rows times features than ``_RUN_CELLS``, where the fixed cost of the runs
+exceeds the cuts they skip, evaluates every cut and falls back to the run
+ends only where its least value lies inside a run. Either way the node
+takes the same split, with the same bits.
 """
 
 from functools import partial
@@ -52,17 +53,6 @@ MAX_FEATURES = count(1, None, "sqrt")
 # Nodes holding at least 1/_PRESORT_SHARE of the fit's draws filter the
 # shared presort; smaller ones argsort their own rows.
 _PRESORT_SHARE = 16
-# Rounding slack of the run ends. With u = 2**-53 and draw counts exact in
-# floats, each of 1 - a² - b² per side is within 4.5u of exact (a, b <= 1),
-# each product n * g adds 0.5u n, and their sum and the division by n add
-# u: a computed Gini is within 6u of its exact value. The exact Gini of a
-# cut inside a run lies on or above the chord of the run's exact end
-# values, so at least 1/span of their difference above the lower end, for
-# a span of W draws between the ends. The cut's computed Gini can then reach
-# the computed lower end only where the exact ends differ by at most 12u W,
-# and the computed ends by 12u W + 12u <= 18u W (W >= 2). 2**-47 is 64u:
-# the flat test's 2 * 64u W is over seven times that bound.
-_GINI_SLACK = 2.0 ** -47
 # Run ends or every cut (module docstring). On IHT-like nodes of 2,500 and
 # 10,000 rows with 2 and 4 features, the run-end search broke even between
 # 5% and 10% positive draws. With 5 positives it won at 2,500 node rows
@@ -116,6 +106,14 @@ def _gini_cuts(xs, cum_pos, n, n_pos, cum_n=None):
     return _gini(n_left, cum_pos[cut], n, n_pos), cut
 
 
+def run_ends(left):
+    """Whether each cut ends a class run, from the positive draws ``left``
+    of each cut, which never fall: the first and last cut with each value."""
+    ends = np.ones(left.size, dtype=bool)
+    ends[1:-1] = (left[1:-1] != left[:-2]) | (left[1:-1] != left[2:])
+    return ends
+
+
 def midpoint(xs, c):
     """Threshold between sorted xs[c] and the larger xs[c + 1]."""
     lo, hi = xs[c], xs[c + 1]
@@ -141,8 +139,8 @@ def _from_presort(presorted, member, f):
 
 
 def _every_cut_split(sorted_by, counts, pos_counts, n, n_pos, feature_ids):
-    """(weighted_gini, feature, threshold, left_rows, right_rows) or None,
-    every cut evaluated.
+    """(weighted_gini, feature, threshold, left_rows, right_rows) or None:
+    the best run end, found from the Gini at every cut.
 
     ``sorted_by(f)`` gives the node's distinct rows sorted by feature f and
     their values; float ``counts`` weight them (None: one draw each) and
@@ -155,8 +153,13 @@ def _every_cut_split(sorted_by, counts, pos_counts, n, n_pos, feature_ids):
         if xs[0] == xs[-1]:
             continue
         cum_n = None if counts is None else np.cumsum(counts[node_rows])
-        weighted, cut = _gini_cuts(xs, np.cumsum(pos_counts[node_rows]), n, n_pos, cum_n)
+        cum_pos = np.cumsum(pos_counts[node_rows])
+        weighted, cut = _gini_cuts(xs, cum_pos, n, n_pos, cum_n)
         k = int(np.argmin(weighted))
+        if 0 < k < cut.size - 1 and cum_pos[cut[k - 1]] == cum_pos[cut[k + 1]]:
+            # the first least lies inside a run: take the best run end
+            ends = np.flatnonzero(run_ends(cum_pos[cut]))
+            k = int(ends[np.argmin(weighted[ends])])
         if weighted[k] < best_score:
             best_score = weighted[k]
             c = cut[k]
@@ -208,27 +211,13 @@ def _run_end_split(X, presorted, member, counts, pos_counts, pos_rows, n, n_pos,
     np.minimum(ends, m - 2, out=ends)
     np.maximum(ends, 0, out=ends)
     if counts is None:
-        cum_n = None
         n_ends = ends + 1.0
     else:
-        cum_n = np.cumsum(counts[node_rows], axis=1)
-        n_ends = cum_n[lines[:, :, None], ends]
+        n_ends = np.cumsum(counts[node_rows], axis=1)[lines[:, :, None], ends]
     gini = _gini(n_ends, pos_left, n, n_pos)
     value = gini.min(axis=1)
     value[ruled_out] = np.inf
     at = np.where(gini[:, 1] < gini[:, 0], last, first)
-    # inside a run the chord of its ends lies at least |rise| / span above
-    # the lower end, as a cut there has a draw more than the run's first cut
-    # and one fewer than its last: only a run rising less than twice the
-    # slack over its draws can have a cut inside reach its ends
-    flat = np.abs(gini[:, 1] - gini[:, 0]) <= 2.0 * _GINI_SLACK * (n_ends[:, 1] - n_ends[:, 0])
-    inner = np.nonzero(flat & (last - first > 1))
-    for i, r in zip(*inner):
-        lo, hi = first[i, r], last[i, r]
-        cut = lo + np.flatnonzero(xs[i, lo + 1 : hi + 2] > xs[i, lo : hi + 1])
-        weighted = _gini(cut + 1.0 if cum_n is None else cum_n[i, cut], pos_left[i, 0, r], n, n_pos)
-        j = int(np.argmin(weighted))
-        value[i, r], at[i, r] = weighted[j], cut[j]
     run = np.argmin(value, axis=1)
     best = None
     best_score = np.inf

@@ -206,7 +206,7 @@ class Adasyn(BaseEstimator):
             raise ValueError(
                 f"k_neighbors={k} must be below the training-set size {X.shape[0]}"
             )
-        counts = positive_counts(X[pos_idx], X, (X * X).sum(axis=1), y == 1, k, exclude=pos_idx)
+        counts = positive_counts(X[pos_idx], X, np.einsum("ij,ij->i", X, X), y == 1, k, exclude=pos_idx)
         return (k - counts) / k
 
     def fit_resample(self, X, y):

@@ -532,7 +532,8 @@ def test_registered_kind_gets_a_seed_when_its_constructor_takes_one(monkeypatch)
 
 def reference_cart(X, y, max_depth=None, max_features=None, seed=0):
     """The tree grown by argsorting every feature at every node, on the
-    drawn rows themselves: (feature, threshold, left, right, prob)."""
+    drawn rows themselves, each split taken at the best class-run end:
+    (feature, threshold, left, right, prob)."""
     p = X.shape[1]
     rng = derive_rng(seed, "feature_subsets") if max_features else None
     if max_features is None:
@@ -556,6 +557,13 @@ def reference_cart(X, y, max_depth=None, max_features=None, seed=0):
             if xs[0] == xs[-1]:
                 continue
             cut = np.flatnonzero(xs[1:] > xs[:-1])
+            # a cut ends a class run when a neighbouring cut has other
+            # positives on its left, or it has no neighbour on a side
+            pos = np.cumsum(ys)[cut]
+            cut = cut[[
+                i for i in range(cut.size)
+                if i == 0 or i == cut.size - 1 or pos[i - 1] != pos[i] or pos[i + 1] != pos[i]
+            ]]
             n_l, pos_l = cut + 1.0, np.cumsum(ys)[cut]
             n_r, pos_r = n - n_l, n_pos - pos_l
             g_l = 1.0 - (pos_l / n_l) ** 2 - ((n_l - pos_l) / n_l) ** 2
@@ -761,9 +769,9 @@ def test_sparse_positive_forest_trees_match_reference(problem, max_features, sha
     ([1, 0, 0, 0, 0, 0, 0, 0, 0, 1], [1] * 10, 0.5),
     # one positive above a run of negatives whose middle rows carry 2 and 3
     # draws beside rows carrying ~4e14: the run's last two cuts tie to the
-    # bit, so the interior one must win over the run's last cut (2.5); only
-    # the slack of the flat-run test sends the search into the run
-    ([0, 0, 0, 1, 0], [414158747367174, 2, 3, 17959927500807, 372227461735554], 1.5),
+    # bit, but the earlier of them lies inside the run, so the run's last
+    # cut (2.5) wins
+    ([0, 0, 0, 1, 0], [414158747367174, 2, 3, 17959927500807, 372227461735554], 2.5),
 ])
 def test_run_end_search_breaks_ties_to_the_earlier_cut(y, counts, threshold):
     y, counts = np.array(y), np.array(counts)
@@ -780,6 +788,25 @@ def test_run_end_search_breaks_ties_to_the_earlier_cut(y, counts, threshold):
     assert trees["every_cut"].threshold_[0] == threshold
     names = ("feature_", "threshold_", "left_", "right_", "prob_")
     assert_same_tree(trees["runs"], tuple(getattr(trees["every_cut"], name) for name in names))
+
+
+def test_tree_split_is_a_run_end_where_rounding_favours_an_interior_cut():
+    # one positive between rows carrying 2 to ~4e14 draws, where each
+    # computed Gini is ~1e-14 with rounding of ~1e-16: the least of them is
+    # at 1.5, inside the run of cuts 0.5 to 3.5 and below both its ends,
+    # so the best run end, the cut above the positive (4.5), must win
+    y = np.array([0, 0, 0, 0, 1, 0])
+    counts = np.array([2, 143671830240354, 420017465156689, 202132714110272, 4, 208540363962676])
+    X = np.arange(y.size, dtype=float)[:, None]
+    gini, _ = tree_module._gini_cuts(
+        X[:, 0], np.cumsum(counts * y), int(counts.sum()), int((counts * y).sum()), np.cumsum(counts * 1.0)
+    )
+    assert gini[1] < gini[4] < min(gini[0], gini[3])
+    for search in ("runs", "every_cut"):
+        with searching(search, tree_module._PRESORT_SHARE):
+            tree = DecisionTreeClassifier(max_depth=1)
+            tree._grow(X, y, counts, tree_module.presort(X))
+        assert tree.threshold_[0] == 4.5, search
 
 
 def test_fitted_trees_keep_no_presort_or_counts():
@@ -938,7 +965,7 @@ def test_passive_aggressive_stops_after_a_clean_epoch_with_the_full_loops_bits()
 
 
 # ---------------------------------------------------------------------------
-# AdaBoost's run-end stump search against the full scans it replaced
+# AdaBoost's stump searches against plain scans of every run end
 # ---------------------------------------------------------------------------
 
 def reference_threshold(xs, c):
@@ -946,22 +973,33 @@ def reference_threshold(xs, c):
     return lo if (lo + hi) / 2.0 >= hi else (lo + hi) / 2.0
 
 
-def reference_sorted(X):
+def reference_sorted(X, y):
+    """Per feature: the stable order, the sorted values, and the positions
+    of the cuts that end a class run, the first and the last cut with each
+    number of positive rows on their left."""
     orders = np.argsort(X.T, axis=1, kind="stable")
     values = np.take_along_axis(X.T, orders, axis=1)
-    return orders, values, [np.flatnonzero(xs[1:] > xs[:-1]) for xs in values]
+    ends = []
+    for order, xs in zip(orders, values):
+        cut = np.flatnonzero(xs[1:] > xs[:-1])
+        pos = np.cumsum(y[order] == 1)[cut]
+        ends.append(cut[[
+            i for i in range(cut.size)
+            if i == 0 or i == cut.size - 1 or pos[i - 1] != pos[i] or pos[i + 1] != pos[i]
+        ]])
+    return orders, values, ends
 
 
 def reference_error_stump(X, y, w):
-    """Weighted 0-1 error at every cut of every feature, both polarities:
-    (error, feature, threshold, left value, right value)."""
+    """Weighted 0-1 error at every run end of every feature, both
+    polarities: (error, feature, threshold, left value, right value)."""
     total_pos = float(w[y == 1].sum())
     total_neg = float(w[y == 0].sum())
     if total_neg <= total_pos:
         best = (total_neg, -1, 0.0, 1.0, 1.0)
     else:
         best = (total_pos, -1, 0.0, 0.0, 0.0)
-    orders, values, cuts = reference_sorted(X)
+    orders, values, cuts = reference_sorted(X, y)
     for f in range(X.shape[1]):
         if cuts[f].size == 0:
             continue
@@ -978,11 +1016,11 @@ def reference_error_stump(X, y, w):
 
 
 def reference_gini_stump(X, y, w):
-    """Weighted child Gini at every cut of every feature: (feature,
+    """Weighted child Gini at every run end of every feature: (feature,
     threshold, left P(y=1), right P(y=1)), or None with no cut."""
     total_w = float(w.sum())
     total_pos = float(w[y == 1].sum())
-    orders, values, cuts = reference_sorted(X)
+    orders, values, cuts = reference_sorted(X, y)
     best_score, best = np.inf, None
     for f in range(X.shape[1]):
         if cuts[f].size == 0:
@@ -1066,12 +1104,11 @@ SCAN_RUNS_PER_CUT = pytest.mark.parametrize(
 @SCAN_RUNS_PER_CUT
 @settings(max_examples=300, deadline=None)
 @given(case=stump_cases())
-# two cases where rounding puts a cut's Gini at or below the computed chord
-# bound of its run: without the slack the screen would skip them
+# four cases where rounding brings the Gini of a cut inside a run level
+# with or below its run's ends and to the least over all the feature's
+# cuts, so that a scan of every cut would choose it
 @example(case=stump_case(1899361569, 7, 2, None, 0.03, "uniform", 0.2, True))
 @example(case=stump_case(3542336821, 25, 1, 1, 0.13, "power", 0.6, True))
-# two where the least Gini is a rounding step inside a run that rises from
-# its first cut: only widening the stretch next to that end finds it
 @example(case=stump_case(3582073955, 105, 1, 1, 0.033, "power", 0.0, False))
 @example(case=stump_case(1296288366, 229, 1, 2, 0.013, "power", 0.0, False))
 def test_stump_search_matches_full_scan(case, scan_runs_per_cut):
@@ -1088,15 +1125,49 @@ def test_stump_search_matches_full_scan(case, scan_runs_per_cut):
 
 def test_chord_bound_reaching_the_floor_exactly_counts():
     # the zero-weight row between the run's last two cuts gives them the same
-    # Gini to the bit, and the earlier cut must win; where the slack vanishes
-    # (it underflows for tiny weights against a huge total) only a bound
-    # equal to the floor keeps that cut in the search
+    # Gini to the bit; the earlier of them lies inside the run, so it is no
+    # candidate, and the run's last cut (0.6) wins
     X = np.array([[-0.9], [-0.8], [0.1], [1.1]])
     y = np.array([1, 0, 0, 1])
     w = np.array([0.3, 0.3, 0.0, 0.4])
-    with mock.patch.multiple(boosting_module, _GINI_SLACK=0.0, _SCAN_RUNS_PER_CUT=np.inf):
+    with mock.patch.object(boosting_module, "_SCAN_RUNS_PER_CUT", np.inf):
         stump = boosting_module._SortedFeatures(X, y).gini_stump(w)
     assert_same_stump(stump_tuple(stump), reference_gini_stump(X, y, w))
+
+
+@SCAN_RUNS_PER_CUT
+def test_stump_is_a_run_end_where_rounding_favours_an_interior_cut(scan_runs_per_cut):
+    # rounding puts the computed Gini of the cut at -1.15, inside a run,
+    # below both of its run's ends and level with the least run end, at
+    # 0.25: the run end must win
+    X, y, w = stump_case(3582073955, 105, 1, 1, 0.033, "power", 0.0, False)
+    order = np.argsort(X[:, 0], kind="stable")
+    xs, ws, ys = X[order, 0], w[order], y[order]
+    cut = np.flatnonzero(xs[1:] > xs[:-1])
+    gini = boosting_module._gini(
+        np.cumsum(ws)[cut], np.cumsum(ws * ys)[cut], float(w.sum()), float(w[y == 1].sum())
+    )[0]
+    inside = int(np.argmin(gini))
+    run = np.flatnonzero(np.cumsum(ys)[cut] == np.cumsum(ys)[cut[inside]])
+    assert (xs[cut[inside]] + xs[cut[inside] + 1]) / 2.0 == -1.15
+    assert run[0] < inside < run[-1] and gini[inside] < min(gini[run[0]], gini[run[-1]])
+    with mock.patch.object(boosting_module, "_SCAN_RUNS_PER_CUT", scan_runs_per_cut):
+        stump = boosting_module._SortedFeatures(X, y).gini_stump(w)
+    assert stump.threshold == 0.25
+    assert_same_stump(stump_tuple(stump), reference_gini_stump(X, y, w))
+
+
+@SCAN_RUNS_PER_CUT
+def test_error_stump_tie_within_a_run_goes_to_its_first_cut(scan_runs_per_cut):
+    # the negatives inside the run of cuts 0.5 to 3.5 weigh 0, so both of
+    # its ends err 0, and the first must win
+    X = np.arange(6.0)[:, None]
+    y = np.array([0, 0, 0, 0, 1, 1])
+    w = np.array([0.5, 0.0, 0.0, 0.0, 0.25, 0.25])
+    with mock.patch.object(boosting_module, "_SCAN_RUNS_PER_CUT", scan_runs_per_cut):
+        err, stump = boosting_module._SortedFeatures(X, y).error_stump(w)
+    assert (err, stump.threshold) == (0.0, 0.5)
+    assert_same_stump(stump_tuple(stump), reference_error_stump(X, y, w)[1:])
 
 
 def test_ties_between_scanned_and_run_features_go_to_the_lowest():
@@ -1121,7 +1192,7 @@ def test_ties_between_scanned_and_run_features_go_to_the_lowest():
 
 
 def reference_search(method):
-    """A stand-in for a _SortedFeatures search that runs the full scan."""
+    """A stand-in for a _SortedFeatures search that runs the reference scan."""
     def search(sorted_features, w):
         X, y = sorted_features.X, sorted_features.is_positive.astype(np.int64)
         if method == "gini_stump":

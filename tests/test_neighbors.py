@@ -183,6 +183,16 @@ def test_knn_score_holds_one_chunk_buffer():
     assert peak <= 1.1 * neighbors.CHUNK_ROWS * n_train * 8
 
 
+def test_knn_fit_holds_no_row_by_column_temporary():
+    # the squared row norms come from einsum; (X * X).sum(axis=1) held an
+    # n x p product first and peaked at 1.03x X
+    rng = np.random.default_rng(6)
+    X = rng.normal(size=(20_000, 30))
+    y = (rng.random(X.shape[0]) < 0.5).astype(np.int64)
+    _, peak = traced_peak(KNeighborsClassifier(k=5).fit, X, y)
+    assert peak < 0.5 * X.nbytes
+
+
 def test_adasyn_hardness_holds_one_distance_matrix():
     rng = np.random.default_rng(4)
     n, n_pos = 8000, 300
