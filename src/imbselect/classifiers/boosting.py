@@ -40,12 +40,15 @@ from .base import BinaryClassifier
 from .tree import midpoint, run_ends, sort_orders
 
 _PROB_CLIP = 1e-7
-# A feature with more runs per cut than this is scanned on its own. In
-# 50-round fits at 4,800 x 8 with 1-50% positives, with and without
-# duplicated positive rows, the two searches broke even near 0.1 runs per
-# cut for the real variant and near 0.3 for the discrete one, whose run ends
-# are cheaper; the discrete fits between lose at most ~15% to their runs.
-# (Measured when a scan took every cut, not only the run ends.)
+# A feature with more runs per cut than this is scanned on its own. Both
+# searches give the same stumps. Against 0.1, in default fits on
+# benchmark-shaped sets (min of 5 process_time, one BLAS thread, best of two
+# runs), scanning every feature made the real variant 10-39% slower where
+# positives are rare (4,800 x 30: 76 -> 105 ms; 3,200 x 18: 34 -> 46 ms) and
+# left the discrete one within noise. Grouping every feature made the real
+# variant 54-77% slower on SMOTE, ADASYN and random-undersampled sets
+# (3,200 x 18 SMOTE: 124 -> 205 ms), though 30% faster on IHT's, and the
+# discrete one up to 18% slower.
 _SCAN_RUNS_PER_CUT = 0.1
 
 

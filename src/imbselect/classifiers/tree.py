@@ -27,15 +27,10 @@ every node made a 7.7k-node tree on 20,000 rows about 1.6x slower to fit.
 Both give the same tree bit for bit: ties among equal values never change a
 cut position, a count, a threshold or the order of random draws.
 
-A presorted node with few positive draws evaluates the Gini only at the
-run ends. The runs come from the node's positive rows: their values bound
-the runs, and a binary search of each feature's sorted values finds each
-run's first and last cut. A node with more positive draws per draw than
-``_DENSE_POSITIVES``, where runs are a cut or two long, or with fewer node
-rows times features than ``_RUN_CELLS``, where the fixed cost of the runs
-exceeds the cuts they skip, evaluates every cut and falls back to the run
-ends only where its least value lies inside a run. Either way the node
-takes the same split, with the same bits.
+Every node searches one feature at a time: it finds the class-run ends from
+the running positive draws (``run_ends``) and evaluates the Gini only
+there. It holds the sorted rows of two features at most: the one it reads
+and the best so far.
 """
 
 from functools import partial
@@ -53,13 +48,6 @@ MAX_FEATURES = count(1, None, "sqrt")
 # Nodes holding at least 1/_PRESORT_SHARE of the fit's draws filter the
 # shared presort; smaller ones argsort their own rows.
 _PRESORT_SHARE = 16
-# Run ends or every cut (module docstring). On IHT-like nodes of 2,500 and
-# 10,000 rows with 2 and 4 features, the run-end search broke even between
-# 5% and 10% positive draws. With 5 positives it won at 2,500 node rows
-# times features and up (0.62-0.82 of every cut), was even near 2,000, and
-# lost up to 2.4x on one feature or a few hundred rows below that.
-_DENSE_POSITIVES = 0.05
-_RUN_CELLS = 2500
 
 
 def sort_orders(X):
@@ -95,22 +83,12 @@ def _gini(n_left, pos_left, n, n_pos):
     return (n_left * gini_left + n_right * gini_right) / n
 
 
-def _gini_cuts(xs, cum_pos, n, n_pos, cum_n=None):
-    """(weighted child Gini, position) at every value boundary of sorted xs.
-
-    ``cum_pos``/``cum_n`` are running positive and row counts along xs;
-    ``cum_n=None`` means one row per entry.
-    """
-    cut = np.flatnonzero(xs[1:] > xs[:-1])
-    n_left = cut + 1.0 if cum_n is None else cum_n[cut]
-    return _gini(n_left, cum_pos[cut], n, n_pos), cut
-
-
 def run_ends(left):
     """Whether each cut ends a class run, from the positive draws ``left``
     of each cut, which never fall: the first and last cut with each value."""
+    change = left[1:] != left[:-1]
     ends = np.ones(left.size, dtype=bool)
-    ends[1:-1] = (left[1:-1] != left[:-2]) | (left[1:-1] != left[2:])
+    ends[1:-1] = change[:-1] | change[1:]
     return ends
 
 
@@ -138,9 +116,9 @@ def _from_presort(presorted, member, f):
     return orders[f].compress(keep), values[f].compress(keep)
 
 
-def _every_cut_split(sorted_by, counts, pos_counts, n, n_pos, feature_ids):
-    """(weighted_gini, feature, threshold, left_rows, right_rows) or None:
-    the best run end, found from the Gini at every cut.
+def _best_run_end(sorted_by, counts, pos_counts, n, n_pos, feature_ids):
+    """(feature, threshold, left_rows, right_rows) of the node's best class-run
+    end over ``feature_ids``, or None where every one is constant.
 
     ``sorted_by(f)`` gives the node's distinct rows sorted by feature f and
     their values; float ``counts`` weight them (None: one draw each) and
@@ -150,84 +128,20 @@ def _every_cut_split(sorted_by, counts, pos_counts, n, n_pos, feature_ids):
     best_score = np.inf
     for f in feature_ids:
         node_rows, xs = sorted_by(f)
-        if xs[0] == xs[-1]:
+        cut = (xs[1:] > xs[:-1]).nonzero()[0]
+        if cut.size == 0:
             continue
-        cum_n = None if counts is None else np.cumsum(counts[node_rows])
-        cum_pos = np.cumsum(pos_counts[node_rows])
-        weighted, cut = _gini_cuts(xs, cum_pos, n, n_pos, cum_n)
-        k = int(np.argmin(weighted))
-        if 0 < k < cut.size - 1 and cum_pos[cut[k - 1]] == cum_pos[cut[k + 1]]:
-            # the first least lies inside a run: take the best run end
-            ends = np.flatnonzero(run_ends(cum_pos[cut]))
-            k = int(ends[np.argmin(weighted[ends])])
+        pos_left = pos_counts.take(node_rows).cumsum()[cut]
+        ends = run_ends(pos_left)
+        cut = cut[ends]
+        n_left = cut + 1.0 if counts is None else counts.take(node_rows).cumsum()[cut]
+        weighted = _gini(n_left, pos_left[ends], n, n_pos)
+        k = weighted.argmin()
         if weighted[k] < best_score:
             best_score = weighted[k]
             c = cut[k]
             best = (f, midpoint(xs, c), node_rows[: c + 1], node_rows[c + 1 :])
-    if best is None:
-        return None
-    return (best_score, *best)
-
-
-def _run_end_split(X, presorted, member, counts, pos_counts, pos_rows, n, n_pos, feature_ids):
-    """``_every_cut_split`` from the ends of class runs, all features of a
-    node read from the shared ``presort`` at once. ``member`` masks the
-    node's rows as in ``_from_presort``; ``pos_rows`` are those with positive
-    draws."""
-    orders, values = presorted
-    lines = np.arange(len(feature_ids))[:, None]
-    if member is None:
-        node_rows, xs = orders[feature_ids], values[feature_ids]
-    else:
-        shape = (len(feature_ids), np.count_nonzero(member))
-        node_rows, xs = np.empty(shape, dtype=orders.dtype), np.empty(shape)
-        for i, f in enumerate(feature_ids.tolist()):
-            keep = member[orders[f]]
-            orders[f].compress(keep, out=node_rows[i])
-            values[f].compress(keep, out=xs[i])
-    n_feats, m = xs.shape
-    # each feature's positive rows by value: run r lies between the r-th and
-    # the (r + 1)-th, and its cuts hold the first r on their left
-    pos_x = X[pos_rows[:, None], feature_ids].T
-    by_value = np.argsort(pos_x, axis=1, kind="stable")
-    k = pos_x.shape[1]
-    bounds = np.empty((n_feats, k + 2))
-    bounds[:, 0], bounds[:, 1:-1], bounds[:, -1] = xs[:, 0], pos_x[lines, by_value], xs[:, -1]
-    pos_left = np.zeros((n_feats, 1, k + 1))
-    np.cumsum(pos_counts[pos_rows][by_value], axis=1, out=pos_left[:, 0, 1:])
-    # a run's first cut is the last row valued at its lower bound, and its
-    # last cut the row before the first valued at its upper bound
-    ends = np.empty((n_feats, 2, k + 1), dtype=np.intp)
-    for i in range(n_feats):
-        ends[i, 0] = xs[i].searchsorted(bounds[i, :-1], "right")
-        ends[i, 1] = xs[i].searchsorted(bounds[i, 1:], "left")
-    ends -= 1
-    first, last = ends[:, 0], ends[:, 1]
-    # empty runs; every run of a constant feature ends before it starts
-    ruled_out = first > last
-    if ruled_out.all():
-        return None
-    # read the ends of empty runs at some cut in range
-    np.minimum(ends, m - 2, out=ends)
-    np.maximum(ends, 0, out=ends)
-    if counts is None:
-        n_ends = ends + 1.0
-    else:
-        n_ends = np.cumsum(counts[node_rows], axis=1)[lines[:, :, None], ends]
-    gini = _gini(n_ends, pos_left, n, n_pos)
-    value = gini.min(axis=1)
-    value[ruled_out] = np.inf
-    at = np.where(gini[:, 1] < gini[:, 0], last, first)
-    run = np.argmin(value, axis=1)
-    best = None
-    best_score = np.inf
-    for i, score in enumerate(value[lines[:, 0], run].tolist()):
-        if score < best_score:
-            best_score, best = score, i
-    c = at[best, run[best]]
-    # a copy, so that the children do not hold the other features' rows
-    node_rows = node_rows[best].copy()
-    return best_score, int(feature_ids[best]), midpoint(xs[best], c), node_rows[: c + 1], node_rows[c + 1 :]
+    return best
 
 
 class DecisionTreeClassifier(BinaryClassifier):
@@ -287,30 +201,25 @@ class DecisionTreeClassifier(BinaryClassifier):
             if not at_cap and 0 < n_pos < n and n >= self.min_samples_split:
                 feats = self._feature_ids(p, rng)
                 if n * _PRESORT_SHARE < total:
-                    search = _every_cut_split
-                    node = (partial(_own_sort, X, rows), weights, pos_weights, n, n_pos)
+                    sorted_by = partial(_own_sort, X, rows)
                 else:
                     member = None
                     if rows.size < X.shape[0]:
                         member = np.zeros(X.shape[0], dtype=bool)
                         member[rows] = True
-                    search = _every_cut_split
-                    node = (partial(_from_presort, presorted, member), weights, pos_weights, n, n_pos)
-                    if n_pos <= _DENSE_POSITIVES * n and rows.size * feats.size >= _RUN_CELLS:
-                        search = _run_end_split
-                        pos_rows = rows[pos_weights[rows] > 0]
-                        node = (X, presorted, member, weights, pos_weights, pos_rows, n, n_pos)
-                split = search(*node, feats)
+                    sorted_by = partial(_from_presort, presorted, member)
+                search = partial(_best_run_end, sorted_by, weights, pos_weights, n, n_pos)
+                split = search(feats)
                 if split is None and feats.size < p:
                     # sampled features were constant here: look at the rest
                     rest = np.ones(p, dtype=bool)
                     rest[feats] = False
-                    split = search(*node, np.flatnonzero(rest))
+                    split = search(np.flatnonzero(rest))
             if split is None:
                 feature[nid] = _LEAF
                 prob[nid] = n_pos / n
                 continue
-            _, f, thr, left_rows, right_rows = split
+            f, thr, left_rows, right_rows = split
             feature[nid] = f
             threshold[nid] = thr
             left[nid] = lid = new_node()

@@ -67,10 +67,13 @@ def _overrides(args):
 
 
 def _file_sha256(path):
+    """Hex SHA-256 of a file, read through one reused 64 KB buffer."""
     digest = hashlib.sha256()
-    with open(path, "rb") as handle:
-        for block in iter(lambda: handle.read(1 << 20), b""):
-            digest.update(block)
+    block = bytearray(1 << 16)
+    view = memoryview(block)
+    with open(path, "rb", buffering=0) as handle:
+        while size := handle.readinto(block):
+            digest.update(view[:size])
     return digest.hexdigest()
 
 

@@ -627,17 +627,9 @@ def tree_problems(draw):
     return X, y
 
 
-# how a presorted node searches: the run ends wherever it has a positive
-# draw, as the node's counts choose, or every cut
-SEARCHES = {
-    "runs": {"_DENSE_POSITIVES": 1.0, "_RUN_CELLS": 0},
-    "chosen": {},
-    "every_cut": {"_DENSE_POSITIVES": -1.0},
-}
-
-
-def searching(search, share):
-    return mock.patch.multiple(tree_module, _PRESORT_SHARE=share, **SEARCHES[search])
+def searching(share):
+    """Nodes holding at least 1/share of the fit's draws read the presort."""
+    return mock.patch.object(tree_module, "_PRESORT_SHARE", share)
 
 
 @settings(max_examples=80, deadline=None)
@@ -646,15 +638,14 @@ def searching(search, share):
     max_depth=st.sampled_from([None, 1, 2, 4]),
     max_features=st.sampled_from([None, "sqrt", 1, 2]),
     share=st.sampled_from([1, 2, 8, tree_module._PRESORT_SHARE, 10**9]),
-    search=st.sampled_from(list(SEARCHES)),
     seed=st.integers(0, 2**31),
 )
-def test_presorted_tree_matches_per_node_reference(problem, max_depth, max_features, share, search, seed):
+def test_presorted_tree_matches_per_node_reference(problem, max_depth, max_features, share, seed):
     # share 1 sends every node below the root to the per-node path and
     # 10**9 keeps every node on the presort, so both paths and the switch
     # between them are covered
     X, y = problem
-    with searching(search, share):
+    with searching(share):
         tree = DecisionTreeClassifier(max_depth=max_depth, max_features=max_features, seed=seed)
         tree.fit(X, y)
     assert_same_tree(tree, reference_cart(X, y, max_depth, max_features, seed))
@@ -680,12 +671,11 @@ def assert_forest_trees_match_reference(X, y, max_depth, max_features, bootstrap
     max_features=st.sampled_from(["sqrt", None, 2]),
     bootstrap=st.booleans(),
     share=st.sampled_from([1, tree_module._PRESORT_SHARE, 10**9]),
-    search=st.sampled_from(list(SEARCHES)),
     seed=st.integers(0, 2**31),
 )
-def test_presorted_forest_trees_match_reference(problem, max_depth, max_features, bootstrap, share, search, seed):
+def test_presorted_forest_trees_match_reference(problem, max_depth, max_features, bootstrap, share, seed):
     X, y = problem
-    patch = searching(search, share)
+    patch = searching(share)
     assert_forest_trees_match_reference(X, y, max_depth, max_features, bootstrap, seed, patch)
 
 
@@ -696,10 +686,9 @@ def test_presorted_forest_trees_match_reference(problem, max_depth, max_features
     max_depth=st.sampled_from([None, 2]),
     max_features=st.sampled_from([None, "sqrt", 1]),
     share=st.sampled_from([1, tree_module._PRESORT_SHARE, 10**9]),
-    search=st.sampled_from(list(SEARCHES)),
     seed=st.integers(0, 2**31),
 )
-def test_tree_grown_from_draw_counts_matches_reference(problem, data, max_depth, max_features, share, search, seed):
+def test_tree_grown_from_draw_counts_matches_reference(problem, data, max_depth, max_features, share, seed):
     # arbitrary draw counts, zeros and up to 50 included, where forests
     # only ever pass bootstrap counts
     X, y = problem
@@ -707,7 +696,7 @@ def test_tree_grown_from_draw_counts_matches_reference(problem, data, max_depth,
         st.one_of(st.just(0), st.integers(1, 3), st.integers(1, 50)), min_size=y.size, max_size=y.size
     )), dtype=np.int64)
     counts[data.draw(st.integers(0, y.size - 1))] += 1  # at least one draw
-    with searching(search, share):
+    with searching(share):
         tree = DecisionTreeClassifier(max_depth=max_depth, max_features=max_features, seed=seed)
         tree._grow(X, y, counts, tree_module.presort(X))
     idx = np.repeat(np.arange(y.size), counts)
@@ -738,12 +727,11 @@ def sparse_tree_problems(draw):
     max_depth=st.sampled_from([None, 3]),
     max_features=st.sampled_from([None, "sqrt"]),
     share=st.sampled_from([1, tree_module._PRESORT_SHARE, 10**9]),
-    search=st.sampled_from(list(SEARCHES)),
     seed=st.integers(0, 2**31),
 )
-def test_sparse_positive_trees_match_reference(problem, max_depth, max_features, share, search, seed):
+def test_sparse_positive_trees_match_reference(problem, max_depth, max_features, share, seed):
     X, y = problem
-    with searching(search, share):
+    with searching(share):
         tree = DecisionTreeClassifier(max_depth=max_depth, max_features=max_features, seed=seed)
         tree.fit(X, y)
     assert_same_tree(tree, reference_cart(X, y, max_depth, max_features, seed))
@@ -754,13 +742,18 @@ def test_sparse_positive_trees_match_reference(problem, max_depth, max_features,
     problem=sparse_tree_problems(),
     max_features=st.sampled_from([None, "sqrt"]),
     share=st.sampled_from([1, tree_module._PRESORT_SHARE, 10**9]),
-    search=st.sampled_from(list(SEARCHES)),
     seed=st.integers(0, 2**31),
 )
-def test_sparse_positive_forest_trees_match_reference(problem, max_features, share, search, seed):
+def test_sparse_positive_forest_trees_match_reference(problem, max_features, share, seed):
     X, y = problem
-    patch = searching(search, share)
+    patch = searching(share)
     assert_forest_trees_match_reference(X, y, 4, max_features, True, seed, patch)
+
+
+def cut_ginis(y, counts):
+    """The weighted child Gini at each cut of rows valued 0, 1, 2, ..."""
+    cum_n, cum_pos = np.cumsum(counts * 1.0), np.cumsum(counts * y)
+    return tree_module._gini(cum_n[:-1], cum_pos[:-1], int(counts.sum()), int((counts * y).sum()))
 
 
 @pytest.mark.parametrize("y, counts, threshold", [
@@ -776,18 +769,11 @@ def test_sparse_positive_forest_trees_match_reference(problem, max_features, sha
 def test_run_end_search_breaks_ties_to_the_earlier_cut(y, counts, threshold):
     y, counts = np.array(y), np.array(counts)
     X = np.arange(y.size, dtype=float)[:, None]
-    gini, _ = tree_module._gini_cuts(
-        X[:, 0], np.cumsum(counts * y), int(counts.sum()), int((counts * y).sum()), np.cumsum(counts * 1.0)
-    )
+    gini = cut_ginis(y, counts)
     assert np.count_nonzero(gini == gini.min()) == 2
-    trees = {}
-    for search in ("runs", "every_cut"):
-        with searching(search, tree_module._PRESORT_SHARE):
-            trees[search] = DecisionTreeClassifier(max_depth=1)
-            trees[search]._grow(X, y, counts, tree_module.presort(X))
-    assert trees["every_cut"].threshold_[0] == threshold
-    names = ("feature_", "threshold_", "left_", "right_", "prob_")
-    assert_same_tree(trees["runs"], tuple(getattr(trees["every_cut"], name) for name in names))
+    tree = DecisionTreeClassifier(max_depth=1)
+    tree._grow(X, y, counts, tree_module.presort(X))
+    assert tree.threshold_[0] == threshold
 
 
 def test_tree_split_is_a_run_end_where_rounding_favours_an_interior_cut():
@@ -798,15 +784,11 @@ def test_tree_split_is_a_run_end_where_rounding_favours_an_interior_cut():
     y = np.array([0, 0, 0, 0, 1, 0])
     counts = np.array([2, 143671830240354, 420017465156689, 202132714110272, 4, 208540363962676])
     X = np.arange(y.size, dtype=float)[:, None]
-    gini, _ = tree_module._gini_cuts(
-        X[:, 0], np.cumsum(counts * y), int(counts.sum()), int((counts * y).sum()), np.cumsum(counts * 1.0)
-    )
+    gini = cut_ginis(y, counts)
     assert gini[1] < gini[4] < min(gini[0], gini[3])
-    for search in ("runs", "every_cut"):
-        with searching(search, tree_module._PRESORT_SHARE):
-            tree = DecisionTreeClassifier(max_depth=1)
-            tree._grow(X, y, counts, tree_module.presort(X))
-        assert tree.threshold_[0] == 4.5, search
+    tree = DecisionTreeClassifier(max_depth=1)
+    tree._grow(X, y, counts, tree_module.presort(X))
+    assert tree.threshold_[0] == 4.5
 
 
 def test_fitted_trees_keep_no_presort_or_counts():
@@ -1236,3 +1218,20 @@ def test_real_adaboost_fit_holds_little_beyond_its_input():
     # one sort order and one running-sum table, each the size of X, and
     # scratch; the full scan held values and cuts besides and peaked at 3.6x
     assert peak <= 3.3 * X.nbytes
+
+
+def test_tree_fit_holds_one_features_sorted_rows():
+    # a node searches one feature's sorted rows at a time; holding every
+    # feature's at once peaked at 4.4x X beside the presort's 2x
+    rng = np.random.default_rng(11)
+    n, p = 20000, 30
+    y = (rng.random(n) < 0.002).astype(np.int64)
+    y[:3] = 1
+    X = rng.normal(size=(n, p)) + 1.5 * y[:, None]
+    tracemalloc.start()
+    try:
+        DecisionTreeClassifier(max_depth=8).fit(X, y)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak <= 3 * X.nbytes

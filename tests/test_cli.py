@@ -12,7 +12,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from imbselect.cli import main
+from imbselect.cli import _file_sha256, main
 from imbselect.config import load_config, validate_config
 from imbselect.fixtures import make_fixture
 from imbselect.report import LEADERBOARD_COLUMNS
@@ -323,6 +323,15 @@ class TestRun:
         assert payload["metric_key"] == "gmean"
         manifest = json.loads((tmp_path / "o2" / "run_manifest.json").read_text())
         assert manifest["master_seed"] == 77
+
+
+@pytest.mark.parametrize("size", [0, 5, 3 * (1 << 16) + 5])
+def test_file_sha256_matches_hashlib(tmp_path, size):
+    # empty, shorter than one read buffer, and three buffers and a bit
+    data = np.random.default_rng(size).bytes(size)
+    path = tmp_path / "blob"
+    path.write_bytes(data)
+    assert _file_sha256(path) == hashlib.sha256(data).hexdigest()
 
 
 def test_load_config_round_trip(tmp_path, fixture_csv):
