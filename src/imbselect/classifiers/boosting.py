@@ -19,19 +19,19 @@ result of Fayyad & Irani, 1992). Computed values carry rounding, and a cut
 inside a run may tie or undercut its ends by it; such cuts are never
 candidates.
 
-A round takes each feature's running sums of the weights in sorted order:
-over every row (the real variant), over the positive rows, and over the
-negative rows (the discrete variant). Where positives are rare, a round
-evaluates the Gini or the two errors at the run ends, many features in
-one vectorised pass. Where positives are spread all along a feature (an
-oversampled training set), its runs are a cut or two long and a vectorised
-pass over them costs more than a plain one, so the feature's run-end cuts
-are scanned one feature at a time. Both searches evaluate the same cuts
-with the same bits.
+A fit keeps only each feature's run-end cuts. A round takes one feature
+at a time: the running sums of the weights in sorted order, over the
+positive rows and over every row (the real variant) or the negative rows
+(the discrete variant), go to one reused scratch row each and are read at
+the feature's run ends into a buffer that consecutive features share.
+Once a group of features holds about n run ends, one vectorised pass
+evaluates the Gini or both errors over the whole group, and each feature
+offers its first least run end. Where positives are rare a group spans
+many features with a few run ends each; on an oversampled set, where
+nearly every cut ends a run, a group is one feature.
 """
 
 from functools import cached_property
-from typing import NamedTuple
 
 import numpy as np
 
@@ -40,16 +40,6 @@ from .base import BinaryClassifier
 from .tree import midpoint, run_ends, sort_orders
 
 _PROB_CLIP = 1e-7
-# A feature with more runs per cut than this is scanned on its own. Both
-# searches give the same stumps. Against 0.1, in default fits on
-# benchmark-shaped sets (min of 5 process_time, one BLAS thread, best of two
-# runs), scanning every feature made the real variant 10-39% slower where
-# positives are rare (4,800 x 30: 76 -> 105 ms; 3,200 x 18: 34 -> 46 ms) and
-# left the discrete one within noise. Grouping every feature made the real
-# variant 54-77% slower on SMOTE, ADASYN and random-undersampled sets
-# (3,200 x 18 SMOTE: 124 -> 205 ms), though 30% faster on IHT's, and the
-# discrete one up to 18% slower.
-_SCAN_RUNS_PER_CUT = 0.1
 
 
 class _Stump:
@@ -83,189 +73,93 @@ def _gini(w_left, pos_left, total_w, total_pos):
     return gini, frac_l, frac_r
 
 
-def _sum_table(rows):
-    """A (features, rows + 1) running-sum table for ``rows``, its rows unset
-    but for their leading 0.0."""
-    sums = np.empty((rows.shape[0], rows.shape[1] + 1))
-    sums[:, 0] = 0.0
-    return sums
-
-
-def _fill_sums(sums, w, rows, features):
-    """Set sums[f, j] to w summed over the first j of rows[f], in that order,
-    for each f in features."""
-    for f in features:
-        np.cumsum(w.take(rows[f]), out=sums[f, 1:])
-
-
 def _compact(indices, bound):
     """``indices``, all below ``bound``, stored as int32 when they fit."""
     return indices.astype(np.int32) if bound < 2**31 else indices
 
 
-def _first_hits(values, best, segments, counts):
-    """Per segment (start offsets, lengths), the index of its first value
-    equal to the segment's ``best``."""
-    hit = np.flatnonzero(values == np.repeat(best, counts))
-    return hit[np.searchsorted(hit, segments)]
-
-
-class _Group(NamedTuple):
-    """The runs of consecutive features, for one vectorised pass: the
-    features, their slice of the runs, and each feature's first run and run
-    count in it."""
-
-    features: list
-    runs: slice
-    offsets: np.ndarray
-    counts: np.ndarray
-
-
 class _SortedFeatures:
-    """Per-feature stable orders, cuts and runs of one training set.
+    """Per-feature stable orders and class-run ends of one training set.
 
-    A cut is named by the number j of sorted rows on its left, which is its
-    column in the (features, n + 1) running-sum table of the weights;
-    ``*_at`` arrays hold flat indices into that table, and ``pos_at`` into
-    the (features, positives + 1) table of the positive weights. Runs are
-    stored feature by feature by their first and last cuts; no positive row
-    lies inside a run. A round works through the features in groups of
-    about n runs, which keeps its scratch arrays as small as one feature's
-    full scan. A feature with more than ``_SCAN_RUNS_PER_CUT`` runs per cut
-    has no runs and is scanned instead: ``scans`` holds, per such feature,
-    its run ends' columns j and the columns k of their positive weights.
-    Its running sums go to one scratch row per round, not to the tables.
+    A cut is named by the number j of sorted rows on its left. Each
+    non-constant feature keeps its run-end cuts j and the number k of
+    positive rows left of each, int32 where they fit: where nearly every cut
+    ends a run, int64 would add about X's size to a fit's peak memory.
+    Consecutive features form groups of at most n run ends, so a round's
+    buffers are no larger than one feature's running sums.
     """
 
     def __init__(self, X, y):
         self.X = X
         self.is_positive = y == 1
-        n, p = X.shape
-        self.width = n + 1
+        n = X.shape[0]
         self.order = sort_orders(X)
         sorted_positive = self.is_positive[self.order]
         self.positive = self._rows(sorted_positive)
-        pos_width = self.positive.shape[1] + 1
-        counts = np.zeros(p, dtype=np.intp)
-        runs, self.scans = [(np.empty(0, dtype=np.int32),) * 3], []
-        for f in range(p):
+        self.groups, members, size = [], [], 0
+        for f in range(X.shape[1]):
             xs = X[self.order[f], f]
             cuts = np.flatnonzero(xs[1:] > xs[:-1]) + 1
             if cuts.size == 0:
                 continue
-            # the positive rows left of each cut; a run starts where that rises
+            # the positive rows left of each cut; a run ends where that changes
             left = np.cumsum(sorted_positive[f])[cuts - 1]
-            starts = np.flatnonzero(left[1:] != left[:-1]) + 1
-            if starts.size + 1 > _SCAN_RUNS_PER_CUT * cuts.size:
-                ends = run_ends(left)
-                self.scans.append((f, _compact(cuts[ends], self.width), _compact(left[ends], self.width)))
-                continue
-            starts = np.concatenate(([0], starts))
-            stops = np.append(starts[1:], cuts.size) - 1
-            counts[f] = starts.size
-            runs.append(tuple(_compact(part, p * self.width) for part in (
-                f * self.width + cuts[starts],
-                f * self.width + cuts[stops],
-                f * pos_width + left[starts],
-            )))
-        self.first_at, self.last_at, self.pos_at = (np.concatenate(part) for part in zip(*runs))
-        del runs
-        self.groups, members, run = [], [], 0
-        for f in np.flatnonzero(counts).tolist() + [None]:
-            if members and (f is None or counts[members].sum() + counts[f] > n):
-                size = counts[members]
-                self.groups.append(
-                    _Group(members, slice(run, run + size.sum()), np.cumsum(size) - size, size)
-                )
-                run, members = run + size.sum(), []
-            members.append(f)
+            ends = run_ends(left)
+            j, k = _compact(cuts[ends], n + 1), _compact(left[ends], n + 1)
+            if members and size + j.size > n:
+                self.groups.append((members, size))
+                members, size = [], 0
+            members.append((f, j, k, slice(size, size + j.size)))
+            size += j.size
+        if members:
+            self.groups.append((members, size))
 
     @cached_property
     def negative(self):
         return self._rows(~self.is_positive[self.order])
 
-    # one running-sum table per fit for each of order, positive and negative,
-    # since a fresh pair each round made a round at 4,800 x 8 about a third
-    # slower; a round refills the rows it reads
-
-    @cached_property
-    def sums(self):
-        return _sum_table(self.order)
-
-    @cached_property
-    def pos_sums(self):
-        return _sum_table(self.positive)
-
-    @cached_property
-    def neg_sums(self):
-        return _sum_table(self.negative)
-
     def _rows(self, sorted_selected):
         """Per feature, the rows in sorted order where ``sorted_selected``."""
         rows = self.order[sorted_selected].reshape(len(self.order), -1)
-        return _compact(rows, self.width)
+        return _compact(rows, self.X.shape[0] + 1)
 
-    def _ends(self, group):
-        """A group's first cuts, last cuts and positive indices, as intp:
-        numpy gathers by int32 indices are slower."""
-        return tuple(
-            part[group.runs].astype(np.intp) for part in (self.first_at, self.last_at, self.pos_at)
-        )
+    def _threshold(self, f, j):
+        return midpoint(self.X[self.order[f, j - 1 : j + 1], f], 0)
 
-    def _threshold(self, at):
-        f, j = divmod(at, self.width)
-        return f, midpoint(self.X[self.order[f, j - 1 : j + 1], f], 0)
-
-    def _scanned(self, w, *rows):
-        """Each scanned feature f with its run ends' columns j, the columns k of
-        their positive weights, and a row of running sums of w over each of
-        ``rows`` for f, in scratch that the next feature overwrites."""
-        scratch = [np.zeros(part.shape[1] + 1) for part in rows]
-        for f, j, k in self.scans:
-            for sums, part in zip(scratch, rows):
-                np.cumsum(w.take(part[f]), out=sums[1:])
-            yield f, j, k, *scratch
+    def _at_ends(self, w, rows, column):
+        """Per group: its members (f, j, k, their slice of the buffers) and
+        two buffers of w's running sums in sorted order, over each member's
+        positive rows at its run ends' k and over its ``rows`` at
+        ``column(j, k)``. The next group overwrites the buffers."""
+        parts = (self.positive, rows)
+        scratch = [np.zeros(part.shape[1] + 1) for part in parts]
+        buffers = [np.empty(max((size for _, size in self.groups), default=0)) for _ in parts]
+        for members, size in self.groups:
+            for f, j, k, at in members:
+                for sums, part, cols, buffer in zip(scratch, parts, (k, column(j, k)), buffers):
+                    w.take(part[f]).cumsum(out=sums[1:])
+                    # "clip" writes straight to out, where "raise" buffers it
+                    sums.take(cols, out=buffer[at], mode="clip")
+            yield members, buffers[0][:size], buffers[1][:size]
 
     def gini_stump(self, w):
         """Stump minimizing weighted child Gini; leaves carry P(y=1). None
         when every feature is constant."""
         total_w = float(w.sum())
         total_pos = float(w[self.is_positive].sum())
-        found = {}
-        for group in self.groups:
-            _fill_sums(self.sums, w, self.order, group.features)
-            _fill_sums(self.pos_sums, w, self.positive, group.features)
-            found.update(zip(group.features, zip(*self._gini_group(group, total_w, total_pos))))
-        for f, j, k, sums, pos_sums in self._scanned(w, self.order, self.positive):
-            gini, left, right = _gini(sums.take(j), pos_sums.take(k), total_w, total_pos)
-            i = int(np.argmin(gini))
-            found[f] = (gini[i], f * self.width + int(j[i]), left[i], right[i])
-        # features in order, so that ties go to the lowest
         best_score, best = np.inf, None
-        for f in sorted(found):
-            score, *stump = found[f]
-            if score < best_score - 1e-15:
-                best_score, best = score, stump
+        for members, pos_left, w_left in self._at_ends(w, self.order, lambda j, k: j):
+            gini, left, right = _gini(w_left, pos_left, total_w, total_pos)
+            # features in order, so that ties go to the lowest
+            for f, j, _, at in members:
+                i = int(gini[at].argmin())
+                if gini[at][i] < best_score - 1e-15:
+                    best_score = gini[at][i]
+                    best = (f, int(j[i]), float(left[at][i]), float(right[at][i]))
         if best is None:
             return None
-        at, left, right = best
-        return _Stump(*self._threshold(at), float(left), float(right))
-
-    def _gini_group(self, group, total_w, total_pos):
-        """Per feature of a group: the least Gini of a run end, the table
-        index of the first run end reaching it, and that cut's left and
-        right P(y=1)."""
-        sums, pos_sums = self.sums, self.pos_sums
-        first_at, last_at, pos_at = self._ends(group)
-        pos_left = np.take(pos_sums, pos_at)
-        w_ends = np.take(sums, np.concatenate([first_at, last_at]))
-        g_first, g_last = np.split(_gini(w_ends, np.tile(pos_left, 2), total_w, total_pos)[0], 2)
-        value = np.minimum(g_first, g_last)
-        at = np.where(g_last < g_first, last_at, first_at)
-        best = np.minimum.reduceat(value, group.offsets)
-        run = _first_hits(value, best, group.offsets, group.counts)
-        _, left, right = _gini(np.take(sums, at[run]), pos_left[run], total_w, total_pos)
-        return best.tolist(), at[run].tolist(), left.tolist(), right.tolist()
+        f, j, left, right = best
+        return _Stump(f, self._threshold(f, j), left, right)
 
     def error_stump(self, w):
         """(weighted 0-1 error, stump) minimizing it over both polarities."""
@@ -276,52 +170,19 @@ class _SortedFeatures:
             best = (total_neg, None, 1.0, 1.0)
         else:
             best = (total_pos, None, 0.0, 0.0)
-        found = {}
-        for group in self.groups:
-            _fill_sums(self.pos_sums, w, self.positive, group.features)
-            _fill_sums(self.neg_sums, w, self.negative, group.features)
-            found.update(zip(group.features, zip(*self._error_group(group, total_pos, total_neg))))
-        for f, j, k, pos_sums, neg_sums in self._scanned(w, self.positive, self.negative):
-            pos_left = pos_sums.take(k)
-            neg_left = neg_sums.take(j - k)
+        for members, pos_left, neg_left in self._at_ends(w, self.negative, np.subtract):
+            # left->0 right->1 errs the positives on the left and the
+            # negatives on the right; left->1 right->0 the others
             rp = pos_left + (total_neg - neg_left)
             lp = neg_left + (total_pos - pos_left)
-            i_rp, i_lp = int(np.argmin(rp)), int(np.argmin(lp))
-            found[f] = (
-                float(rp[i_rp]), f * self.width + int(j[i_rp]),
-                float(lp[i_lp]), f * self.width + int(j[i_lp]),
-            )
-        for f in sorted(found):
-            rp_err, rp_at, lp_err, lp_at = found[f]
-            for err, at, lv, rv in ((rp_err, rp_at, 0.0, 1.0), (lp_err, lp_at, 1.0, 0.0)):
-                if err < best[0] - 1e-15:
-                    best = (err, at, lv, rv)
+            for f, j, _, at in members:
+                for err, lv, rv in ((rp[at], 0.0, 1.0), (lp[at], 1.0, 0.0)):
+                    i = int(err.argmin())
+                    if err[i] < best[0] - 1e-15:
+                        best = (float(err[i]), (f, int(j[i])), lv, rv)
         err, at, lv, rv = best
-        f, threshold = (-1, 0.0) if at is None else self._threshold(at)
+        f, threshold = (-1, 0.0) if at is None else (at[0], self._threshold(*at))
         return err, _Stump(f, threshold, lv, rv)
-
-    def _error_group(self, group, total_pos, total_neg):
-        """Per feature of a group, for left->0 right->1 and then for
-        left->1 right->0: the least error of a run end and the table index
-        of the first run end reaching it."""
-        pos_sums, neg_sums = self.pos_sums, self.neg_sums
-        first_at, last_at, pos_at = self._ends(group)
-        pos_left = np.take(pos_sums, pos_at)
-        # a cut's negatives on the left sit at its table index plus this
-        to_neg = first_at // self.width - pos_at
-        neg_first = np.take(neg_sums, first_at + to_neg)
-        # left->0 right->1 errs the positives on the left, negatives right;
-        # along a run it never rises, and left->1 right->0 never falls, in
-        # computed arithmetic too, since the running sums never fall
-        rp_last = pos_left + (total_neg - np.take(neg_sums, last_at + to_neg))
-        lp = neg_first + (total_pos - pos_left)
-        rp_best = np.minimum.reduceat(rp_last, group.offsets)
-        lp_best = np.minimum.reduceat(lp, group.offsets)
-        rp_run = _first_hits(rp_last, rp_best, group.offsets, group.counts)
-        lp_run = _first_hits(lp, lp_best, group.offsets, group.counts)
-        rp_first = pos_left[rp_run] + (total_neg - neg_first[rp_run])
-        rp_at = np.where(rp_first == rp_best, first_at[rp_run], last_at[rp_run])
-        return rp_best.tolist(), rp_at.tolist(), lp_best.tolist(), first_at[lp_run].tolist()
 
 
 class DiscreteAdaBoost(BinaryClassifier):

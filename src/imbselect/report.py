@@ -162,6 +162,16 @@ def _blas():
     return {"name": blas.get("name"), "version": blas.get("version")}
 
 
+def _platform():
+    """``platform.platform()`` as it reads where the processor name is blank
+    or the machine's, built without that name: looking it up runs
+    ``uname -p`` in a forked child, whose peak RSS, the parent's, would
+    then stand in ``RUSAGE_CHILDREN`` for a run that started no worker."""
+    libc, version = platform.libc_ver()
+    parts = [platform.system(), platform.release(), platform.machine()]
+    return "-".join(parts + (["with", libc + version] if libc else []))
+
+
 def write_manifest(path, result, dataset_sha256, dataset_path, setup_seconds):
     payload = {
         "master_seed": result.grid.master_seed,
@@ -173,7 +183,7 @@ def write_manifest(path, result, dataset_sha256, dataset_path, setup_seconds):
         "blas_threads": {
             name: os.environ.get(name) for name in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS")
         },
-        "platform": platform.platform(),
+        "platform": _platform(),
         "dataset_path": str(dataset_path),
         "dataset_sha256": dataset_sha256,
         "test_split_checksum": result.test_checksum,

@@ -1061,6 +1061,15 @@ def stump_case(seed, n, p, decimals, positives, spread, zeros, normalize):
     return X, y, w / w.sum() if normalize else w
 
 
+def oversampled(case, seed):
+    """``case`` with copies of its positive rows, weights included, drawn
+    until the classes balance, as random oversampling draws them."""
+    X, y, w = case
+    rng = np.random.default_rng(seed)
+    copies = rng.choice(np.flatnonzero(y == 1), int((y == 0).sum() - (y == 1).sum()))
+    return np.vstack([X, X[copies]]), np.append(y, y[copies]), np.append(w, w[copies])
+
+
 @st.composite
 def stump_cases(draw):
     return stump_case(
@@ -1075,15 +1084,37 @@ def stump_cases(draw):
     )
 
 
-# features searched by run ends only, as the runs per cut pick, or cut by cut
-SCAN_RUNS_PER_CUT = pytest.mark.parametrize(
-    "scan_runs_per_cut",
-    [np.inf, boosting_module._SCAN_RUNS_PER_CUT, 0.0],
-    ids=["runs", "chosen", "scans"],
-)
+def regrouped(sorted_features, layout):
+    """``sorted_features`` with its features grouped as ``layout`` says:
+    "chosen" keeps the groups it built, "runs" puts every feature's run ends
+    in one group and "scans" each feature in a group of its own."""
+    members = [member for group, _ in sorted_features.groups for member in group]
+    if layout == "chosen" or not members:
+        return sorted_features
+    sorted_features.groups = []
+    for part in [members] if layout == "runs" else [[member] for member in members]:
+        placed, size = [], 0
+        for f, j, k, _ in part:
+            placed.append((f, j, k, slice(size, size + j.size)))
+            size += j.size
+        sorted_features.groups.append((placed, size))
+    return sorted_features
 
 
-@SCAN_RUNS_PER_CUT
+def grouped_as(layout):
+    """Patch ``_SortedFeatures`` so that every set groups as ``layout``."""
+    built = boosting_module._SortedFeatures
+    return mock.patch.object(
+        boosting_module, "_SortedFeatures", lambda X, y: regrouped(built(X, y), layout)
+    )
+
+
+# the stump must not depend on how features are grouped for one pass; on a
+# single feature the three layouts coincide
+GROUPINGS = pytest.mark.parametrize("layout", ["runs", "chosen", "scans"])
+
+
+@GROUPINGS
 @settings(max_examples=300, deadline=None)
 @given(case=stump_cases())
 # four cases where rounding brings the Gini of a cut inside a run level
@@ -1093,9 +1124,13 @@ SCAN_RUNS_PER_CUT = pytest.mark.parametrize(
 @example(case=stump_case(3542336821, 25, 1, 1, 0.13, "power", 0.6, True))
 @example(case=stump_case(3582073955, 105, 1, 1, 0.033, "power", 0.0, False))
 @example(case=stump_case(1296288366, 229, 1, 2, 0.013, "power", 0.0, False))
-def test_stump_search_matches_full_scan(case, scan_runs_per_cut):
+# duplicated rows, as random oversampling leaves them, and a tiny wide set
+# with 6 positives, shaped like the instance-hardness sampler's output
+@example(case=oversampled(stump_case(2, 300, 6, 2, 0.02, "uniform", 0.0, True), seed=2))
+@example(case=stump_case(0, 36, 18, None, 6 / 36, "uniform", 0.0, True))
+def test_stump_search_matches_full_scan(case, layout):
     X, y, w = case
-    with mock.patch.object(boosting_module, "_SCAN_RUNS_PER_CUT", scan_runs_per_cut):
+    with grouped_as(layout):
         sorted_features = boosting_module._SortedFeatures(X, y)
     gini = sorted_features.gini_stump(w)
     assert_same_stump(None if gini is None else stump_tuple(gini), reference_gini_stump(X, y, w))
@@ -1112,13 +1147,12 @@ def test_chord_bound_reaching_the_floor_exactly_counts():
     X = np.array([[-0.9], [-0.8], [0.1], [1.1]])
     y = np.array([1, 0, 0, 1])
     w = np.array([0.3, 0.3, 0.0, 0.4])
-    with mock.patch.object(boosting_module, "_SCAN_RUNS_PER_CUT", np.inf):
-        stump = boosting_module._SortedFeatures(X, y).gini_stump(w)
+    stump = boosting_module._SortedFeatures(X, y).gini_stump(w)
     assert_same_stump(stump_tuple(stump), reference_gini_stump(X, y, w))
 
 
-@SCAN_RUNS_PER_CUT
-def test_stump_is_a_run_end_where_rounding_favours_an_interior_cut(scan_runs_per_cut):
+@GROUPINGS
+def test_stump_is_a_run_end_where_rounding_favours_an_interior_cut(layout):
     # rounding puts the computed Gini of the cut at -1.15, inside a run,
     # below both of its run's ends and level with the least run end, at
     # 0.25: the run end must win
@@ -1133,29 +1167,29 @@ def test_stump_is_a_run_end_where_rounding_favours_an_interior_cut(scan_runs_per
     run = np.flatnonzero(np.cumsum(ys)[cut] == np.cumsum(ys)[cut[inside]])
     assert (xs[cut[inside]] + xs[cut[inside] + 1]) / 2.0 == -1.15
     assert run[0] < inside < run[-1] and gini[inside] < min(gini[run[0]], gini[run[-1]])
-    with mock.patch.object(boosting_module, "_SCAN_RUNS_PER_CUT", scan_runs_per_cut):
+    with grouped_as(layout):
         stump = boosting_module._SortedFeatures(X, y).gini_stump(w)
     assert stump.threshold == 0.25
     assert_same_stump(stump_tuple(stump), reference_gini_stump(X, y, w))
 
 
-@SCAN_RUNS_PER_CUT
-def test_error_stump_tie_within_a_run_goes_to_its_first_cut(scan_runs_per_cut):
+@GROUPINGS
+def test_error_stump_tie_within_a_run_goes_to_its_first_cut(layout):
     # the negatives inside the run of cuts 0.5 to 3.5 weigh 0, so both of
     # its ends err 0, and the first must win
     X = np.arange(6.0)[:, None]
     y = np.array([0, 0, 0, 0, 1, 1])
     w = np.array([0.5, 0.0, 0.0, 0.0, 0.25, 0.25])
-    with mock.patch.object(boosting_module, "_SCAN_RUNS_PER_CUT", scan_runs_per_cut):
+    with grouped_as(layout):
         err, stump = boosting_module._SortedFeatures(X, y).error_stump(w)
     assert (err, stump.threshold) == (0.0, 0.5)
     assert_same_stump(stump_tuple(stump), reference_error_stump(X, y, w)[1:])
 
 
 def test_ties_between_scanned_and_run_features_go_to_the_lowest():
-    # feature 0 has zero-weight positives spread along it (scanned), feature
-    # 1 has them tied at its top (one run); both split the one weighted
-    # positive off exactly, so both stumps tie at Gini 0 and error 0
+    # feature 0 has zero-weight positives spread along it (runs a cut or two
+    # long), feature 1 has them tied at its top (one run); both split the one
+    # weighted positive off exactly, so both stumps tie at Gini 0 and error 0
     rng = np.random.default_rng(5)
     y = np.array([1] * 9 + [0] * 31)
     w = np.where(np.arange(40) == 0, 0.25, 0.0) + (y == 0) * 0.75 / 31
@@ -1163,8 +1197,6 @@ def test_ties_between_scanned_and_run_features_go_to_the_lowest():
     X[:, 0] = np.concatenate([[-1.0], rng.permutation(39)])
     X[:, 1] = np.concatenate([[-1.0], np.full(8, 99.0), np.arange(31)])
     sorted_features = boosting_module._SortedFeatures(X, y)
-    assert [f for f, _, _ in sorted_features.scans] == [0]
-    assert [group.features for group in sorted_features.groups] == [[1]]
     stump = sorted_features.gini_stump(w)
     assert stump.feature == 0
     assert_same_stump(stump_tuple(stump), reference_gini_stump(X, y, w))
@@ -1185,13 +1217,13 @@ def reference_search(method):
     return search
 
 
-@SCAN_RUNS_PER_CUT
+@GROUPINGS
 @settings(max_examples=40, deadline=None)
 @given(case=stump_cases(), n_rounds=st.integers(1, 30))
-def test_adaboost_fits_match_full_scan_fits(case, n_rounds, scan_runs_per_cut):
+def test_adaboost_fits_match_full_scan_fits(case, n_rounds, layout):
     X, y, _ = case
     for cls, method in ((RealAdaBoost, "gini_stump"), (DiscreteAdaBoost, "error_stump")):
-        with mock.patch.object(boosting_module, "_SCAN_RUNS_PER_CUT", scan_runs_per_cut):
+        with grouped_as(layout):
             model = cls(n_rounds=n_rounds).fit(X, y)
         with mock.patch.object(boosting_module._SortedFeatures, method, reference_search(method)):
             reference = cls(n_rounds=n_rounds).fit(X, y)
@@ -1215,9 +1247,32 @@ def test_real_adaboost_fit_holds_little_beyond_its_input():
         _, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
-    # one sort order and one running-sum table, each the size of X, and
-    # scratch; the full scan held values and cuts besides and peaked at 3.6x
+    # one sort order the size of X, a few run ends and scratch rows: 1.35x;
+    # a running-sum table the size of X besides read 2.3x, and a full scan
+    # that held values and cuts too 3.6x
     assert peak <= 3.3 * X.nbytes
+
+
+@pytest.mark.parametrize("cls", [RealAdaBoost, DiscreteAdaBoost])
+@pytest.mark.parametrize("positives", [0.5, 0.002], ids=["dense", "rare"])
+def test_adaboost_fit_keeps_its_run_ends_compact(cls, positives):
+    # on the dense set nearly every cut ends a run; each run end keeps its
+    # cut and positive count as int32, and as int64 the dense fits peaked
+    # at 3.6x (real) and 3.9x (discrete) X
+    rng = np.random.default_rng(13)
+    n, p = 20000, 30
+    y = (rng.random(n) < positives).astype(np.int64)
+    y[:3] = 1
+    X = rng.normal(size=(n, p))
+    if positives < 0.5:
+        X += 1.5 * y[:, None]
+    tracemalloc.start()
+    try:
+        cls(n_rounds=5).fit(X, y)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak <= 3.0 * X.nbytes
 
 
 def test_tree_fit_holds_one_features_sorted_rows():

@@ -2,6 +2,7 @@ import csv
 import hashlib
 import json
 import os
+import platform
 import re
 import runpy
 import subprocess
@@ -239,6 +240,31 @@ class TestRun:
         assert manifest["blas"] == {"name": blas["name"], "version": blas["version"]}
         assert manifest["blas_threads"] == {"OPENBLAS_NUM_THREADS": "1", "OMP_NUM_THREADS": None}
         assert '"OMP_NUM_THREADS": null' in text
+
+    def test_single_worker_run_starts_no_process(self, tmp_path, fixture_csv):
+        # a child's peak RSS would stand in RUSAGE_CHILDREN for the workers'
+        config = write_config(
+            tmp_path, fixture_csv, samplers="none", classifiers="dummy", top_k="1"
+        )
+        script = (
+            "import resource, sys\n"
+            "from imbselect.cli import main\n"
+            f"assert main(['run', '--config', {str(config)!r}]) == 0\n"
+            "print(resource.getrusage(resource.RUSAGE_CHILDREN).ru_maxrss, file=sys.stderr)\n"
+        )
+        env = dict(os.environ)
+        env["PYTHONPATH"] = os.pathsep.join(
+            [str(ROOT / "src")] + [p for p in [env.get("PYTHONPATH")] if p]
+        )
+        done = subprocess.run(
+            [sys.executable, "-c", script], capture_output=True, text=True, env=env, timeout=120
+        )
+        assert done.returncode == 0, done.stderr
+        assert done.stderr.split()[-1] == "0"
+        manifest = json.loads((tmp_path / "out" / "run_manifest.json").read_text())
+        # the string platform.platform() gives where it has no processor name
+        if platform.processor() in ("", platform.machine()):
+            assert manifest["platform"] == platform.platform()
 
     def test_reports_follow_the_clamped_grid(self, tmp_path, fixture_csv):
         # the fixture has 5 encoded columns: 40 and 50 both run as dims 5
