@@ -73,9 +73,9 @@ def _gini(w_left, pos_left, total_w, total_pos):
     return gini, frac_l, frac_r
 
 
-def _compact(indices, bound):
-    """``indices``, all below ``bound``, stored as int32 when they fit."""
-    return indices.astype(np.int32) if bound < 2**31 else indices
+def _index_type(bound):
+    """int32 for indices below ``bound`` when they fit, else the native int."""
+    return np.int32 if bound < 2**31 else np.intp
 
 
 class _SortedFeatures:
@@ -93,6 +93,7 @@ class _SortedFeatures:
         self.X = X
         self.is_positive = y == 1
         n = X.shape[0]
+        index = _index_type(n + 1)
         self.order = sort_orders(X)
         sorted_positive = self.is_positive[self.order]
         self.positive = self._rows(sorted_positive)
@@ -105,7 +106,7 @@ class _SortedFeatures:
             # the positive rows left of each cut; a run ends where that changes
             left = np.cumsum(sorted_positive[f])[cuts - 1]
             ends = run_ends(left)
-            j, k = _compact(cuts[ends], n + 1), _compact(left[ends], n + 1)
+            j, k = cuts[ends].astype(index), left[ends].astype(index)
             if members and size + j.size > n:
                 self.groups.append((members, size))
                 members, size = [], 0
@@ -119,9 +120,13 @@ class _SortedFeatures:
         return self._rows(~self.is_positive[self.order])
 
     def _rows(self, sorted_selected):
-        """Per feature, the rows in sorted order where ``sorted_selected``."""
-        rows = self.order[sorted_selected].reshape(len(self.order), -1)
-        return _compact(rows, self.X.shape[0] + 1)
+        """Per feature, the rows in sorted order where ``sorted_selected``,
+        filled a feature at a time so that no int64 copy of them is held."""
+        shape = (len(self.order), np.count_nonzero(sorted_selected[0]))
+        rows = np.empty(shape, _index_type(self.X.shape[0] + 1))
+        for f, order in enumerate(self.order):
+            rows[f] = order.compress(sorted_selected[f])
+        return rows
 
     def _threshold(self, f, j):
         return midpoint(self.X[self.order[f, j - 1 : j + 1], f], 0)
@@ -215,16 +220,10 @@ class DiscreteAdaBoost(BinaryClassifier):
             self.stumps_.append(_Stump(-1, 0.0, majority, majority))
             self.alphas_.append(1.0)
 
-    def decision_margin(self, X):
-        """Sum of alpha-weighted stump votes."""
-        X = self._check_fitted_input(X)
-        margin = np.zeros(X.shape[0])
+    def _score(self, X):
+        margin = np.zeros(X.shape[0])  # alpha-weighted stump votes
         for stump, alpha in zip(self.stumps_, self.alphas_):
             margin += alpha * (2.0 * stump.values(X) - 1.0)
-        return margin
-
-    def _score(self, X):
-        margin = self.decision_margin(X)
         alpha_sum = float(np.sum(self.alphas_))
         return (margin / alpha_sum + 1.0) / 2.0
 
@@ -255,14 +254,9 @@ class RealAdaBoost(BinaryClassifier):
             p1 = min(max(float(y.mean()), _PROB_CLIP), 1.0 - _PROB_CLIP)
             self.stumps_.append(_Stump(-1, 0.0, p1, p1))
 
-    def decision_margin(self, X):
-        X = self._check_fitted_input(X)
+    def _score(self, X):
         margin = np.zeros(X.shape[0])
         for stump in self.stumps_:
             probs = np.clip(stump.values(X), _PROB_CLIP, 1.0 - _PROB_CLIP)
             margin += 0.5 * (np.log(probs) - np.log1p(-probs))
-        return margin
-
-    def _score(self, X):
-        margin = self.decision_margin(X)
         return 1.0 / (1.0 + np.exp(-np.clip(margin, -700.0, 700.0)))

@@ -6,7 +6,7 @@ distances going to the lower training-row index. That distance is
 elementwise arithmetic in a fixed order, so the neighbours depend neither
 on BLAS, nor on its thread count, nor on how the rows are chunked.
 
-``positive_counts`` finds them in chunks of ``CHUNK_ROWS`` rows. One chunk
+``nearest`` finds them in chunks of ``CHUNK_ROWS`` rows. One chunk
 × train float buffer is made per call and reused: each chunk's squared
 distances to the full training set are built in place in it from one
 matrix product (``squared_distances``). Those computed distances only
@@ -17,8 +17,9 @@ distance. A strided column sample bounds that k-th distance from above,
 so each row copies only the sample and the columns below the bound, a few
 hundred. The columns within the band, usually exactly k a row, are
 recomputed by the fixed-order sum for the whole chunk at once, and the k
-nearest of them are counted. ADASYN's hardness uses the same function,
-leaving each positive row out of its own neighbours.
+nearest of them are returned in order. kNN scores, ADASYN's hardness
+(each positive row left out of its own neighbours) and the SMOTE and
+ADASYN minority tables all take their neighbours from it.
 """
 
 import numpy as np
@@ -64,12 +65,12 @@ def squared_distances(Q, X, x_sq, out=None):
     return d2
 
 
-def positive_counts(Q, X, x_sq, positive, k, exclude=None):
-    """How many of each Q row's k nearest X rows are ``positive``, equal
-    distances going to the lower X row. ``x_sq`` holds X's squared row
-    norms. ``exclude``, when given, names one X row per Q row that is not
-    among its neighbours (the row itself); needs 1 <= k <= the X rows left."""
-    counts = np.empty(Q.shape[0], dtype=np.intp)
+def nearest(Q, X, x_sq, k, exclude=None):
+    """Each Q row's k nearest X rows, nearest first, equal distances going
+    to the lower X row. ``x_sq`` holds X's squared row norms. ``exclude``,
+    when given, names one X row per Q row that is not among its neighbours
+    (the row itself); needs 1 <= k <= the X rows left."""
+    near = np.empty((Q.shape[0], k), dtype=np.intp)
     buffer = np.empty((min(CHUNK_ROWS, Q.shape[0]), X.shape[0]))
     reach = np.sqrt(x_sq.max(initial=0.0))
     tiny = np.finfo(float).tiny
@@ -81,10 +82,8 @@ def positive_counts(Q, X, x_sq, positive, k, exclude=None):
         norms = np.sqrt((chunk * chunk).sum(axis=1))
         band = (X.shape[1] + 2) * (_DISTANCE_SLACK * (norms + reach) ** 2 + tiny)
         rows, cols = _candidates(d2, band, k)
-        counts[start : start + len(chunk)] = _count_nearest(
-            chunk, X, rows, cols, positive, k, limit=d2.size
-        )
-    return counts
+        near[start : start + len(chunk)] = _k_nearest(chunk, X, rows, cols, k, limit=d2.size)
+    return near
 
 
 def _candidates(d2, band, k):
@@ -111,9 +110,9 @@ def _candidates(d2, band, k):
     return rows, np.concatenate(picks)
 
 
-def _count_nearest(Q, X, rows, cols, positive, k, limit):
-    """Per Q row, the positives among the k of its ``cols`` nearest by the
-    fixed-order distance, equal distances going to the lower column. At
+def _k_nearest(Q, X, rows, cols, k, limit):
+    """Per Q row, the k of its ``cols`` nearest by the fixed-order
+    distance, nearest first, equal distances going to the lower column. At
     most ``limit`` differences are held at once: ties at the k-th distance,
     or a k near the training-set size, can make every pair near."""
     dist = np.zeros(len(rows))
@@ -127,7 +126,7 @@ def _count_nearest(Q, X, rows, cols, positive, k, limit):
     order = np.lexsort((cols, dist, rows))
     rows, cols = rows[order], cols[order]
     rank = np.arange(len(rows)) - np.searchsorted(rows, rows)  # place in its row
-    return np.bincount(rows[(rank < k) & positive[cols]], minlength=Q.shape[0])
+    return cols[rank < k].reshape(Q.shape[0], k)
 
 
 class KNeighborsClassifier(BinaryClassifier):
@@ -142,5 +141,5 @@ class KNeighborsClassifier(BinaryClassifier):
 
     def _score(self, X):
         k = min(self.k, self._train_X.shape[0])
-        counts = positive_counts(X, self._train_X, self._train_sq, self._train_y == 1, k)
-        return counts / k
+        near = nearest(X, self._train_X, self._train_sq, k)
+        return np.count_nonzero(self._train_y[near] == 1, axis=1) / k

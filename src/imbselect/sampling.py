@@ -4,7 +4,9 @@ Samplers expose ``fit_resample(X, y)`` and only ever see the training
 split; the natural test distribution is preserved by construction.
 Undersamplers return exact row subsets (a multiset when sampling with
 replacement), oversamplers append to the original rows, and all synthetic
-minority points lie on segments between minority neighbours.
+minority points lie on segments between minority neighbours. SMOTE and
+ADASYN take them from a minority table made by ``neighbors.nearest``, the
+exact kernel of kNN scoring, so no neighbour depends on BLAS.
 
 ``target_ratio`` is the desired minority/majority count ratio after
 resampling; 1.0 means full balance. Each sampler lists its options, their
@@ -17,7 +19,7 @@ import numpy as np
 
 from .base import BaseEstimator, Spec, derive_rng, derive_seed
 from .classifiers.forest import RandomForestClassifier
-from .classifiers.neighbors import positive_counts, squared_distances
+from .classifiers.neighbors import nearest
 from .classifiers.tree import presort, presort_rows, sort_orders
 from .dataset import Dataset, freeze, round_half_away, stratified_folds
 from .validation import FLAG, SEED, check_X_y, count, real, require_both_classes
@@ -50,15 +52,13 @@ def _oversample_new_count(n_pos, n_neg, target_ratio):
 
 
 def _minority_neighbor_table(minority, k):
-    """k nearest minority neighbours per minority row, self excluded,
-    distance ties broken by the lower row index."""
+    """k nearest minority neighbours per minority row, nearest first, self
+    excluded, ties to the lower row index (``neighbors.nearest``)."""
     n = minority.shape[0]
     if k >= n:
         raise ValueError(f"k_neighbors={k} must be below the minority count {n}")
-    d2 = squared_distances(minority, minority, (minority * minority).sum(axis=1))
-    np.fill_diagonal(d2, np.inf)
-    order = np.argsort(d2, axis=1, kind="stable")
-    return order[:, :k]
+    norms = np.einsum("ij,ij->i", minority, minority)
+    return nearest(minority, minority, norms, k, exclude=np.arange(n))
 
 
 class IdentitySampler(BaseEstimator):
@@ -145,7 +145,7 @@ class RandomOverSampler(BaseEstimator):
 
 def smote_synthesize(minority, k_neighbors, count, rng):
     """``count`` synthetic rows, each on the segment from a random base
-    minority point to one of its k nearest minority neighbours."""
+    minority point to one of its k neighbours in the minority table."""
     minority = np.asarray(minority, dtype=np.float64)
     if count < 0:
         raise ValueError(f"count must be >= 0, got {count}")
@@ -196,7 +196,8 @@ def adasyn_generation_counts(hardness, total):
 
 class Adasyn(BaseEstimator):
     """SMOTE-style interpolation with density-adaptive allocation: minority
-    points surrounded by majority neighbours receive more synthetics."""
+    points surrounded by majority neighbours receive more synthetics. Its
+    partners come from SMOTE's minority table."""
 
     options = Smote.options
 
@@ -206,8 +207,8 @@ class Adasyn(BaseEstimator):
             raise ValueError(
                 f"k_neighbors={k} must be below the training-set size {X.shape[0]}"
             )
-        counts = positive_counts(X[pos_idx], X, np.einsum("ij,ij->i", X, X), y == 1, k, exclude=pos_idx)
-        return (k - counts) / k
+        near = nearest(X[pos_idx], X, np.einsum("ij,ij->i", X, X), k, exclude=pos_idx)
+        return (k - np.count_nonzero(y[near] == 1, axis=1)) / k
 
     def fit_resample(self, X, y):
         X, y = check_X_y(X, y)

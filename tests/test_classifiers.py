@@ -1254,11 +1254,13 @@ def test_real_adaboost_fit_holds_little_beyond_its_input():
 
 
 @pytest.mark.parametrize("cls", [RealAdaBoost, DiscreteAdaBoost])
-@pytest.mark.parametrize("positives", [0.5, 0.002], ids=["dense", "rare"])
-def test_adaboost_fit_keeps_its_run_ends_compact(cls, positives):
+@pytest.mark.parametrize(("positives", "bound"), [(0.5, 3.0), (0.002, 2.0)], ids=["dense", "rare"])
+def test_adaboost_fit_keeps_its_run_ends_compact(cls, positives, bound):
     # on the dense set nearly every cut ends a run; each run end keeps its
     # cut and positive count as int32, and as int64 the dense fits peaked
-    # at 3.6x (real) and 3.9x (discrete) X
+    # at 3.6x (real) and 3.9x (discrete) X. On the rare set the discrete
+    # variant's negative rows are nearly every row; taken from the whole
+    # int64 order before they were made int32, that fit peaked at 2.7x X
     rng = np.random.default_rng(13)
     n, p = 20000, 30
     y = (rng.random(n) < positives).astype(np.int64)
@@ -1272,7 +1274,7 @@ def test_adaboost_fit_keeps_its_run_ends_compact(cls, positives):
         _, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
-    assert peak <= 3.0 * X.nbytes
+    assert peak <= bound * X.nbytes
 
 
 def test_tree_fit_holds_one_features_sorted_rows():

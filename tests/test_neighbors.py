@@ -99,6 +99,37 @@ def pick_k(n, small_k, k_offset, from_end):
     return max(1, n + k_offset) if from_end else small_k
 
 
+@settings(max_examples=100, deadline=None)
+@given(
+    data=train_sets(),
+    small_k=st.integers(1, 40),
+    k_offset=st.integers(-40, 0),
+    from_end=st.booleans(),
+    n_query=st.sampled_from((1, 2, 7, 33)),
+    own_rows=st.booleans(),
+)
+def test_nearest_rows_come_by_distance_then_index(
+    data, small_k, k_offset, from_end, n_query, own_rows
+):
+    rng, make_rows, X, _ = data
+    n = X.shape[0]
+    if own_rows:  # training rows as queries, each left out of its own neighbours
+        exclude = rng.integers(0, n, n_query)
+        Q, k = X[exclude], min(pick_k(n, small_k, k_offset, from_end), n - 1)
+    else:
+        exclude = None
+        Q, k = make_rows(n_query), min(pick_k(n, small_k, k_offset, from_end), n)
+    dist = fixed_order_distances(Q, X)
+    if own_rows:
+        dist[np.arange(n_query), exclude] = np.inf
+    expected = np.argsort(dist, axis=1, kind="stable")[:, :k]
+    x_sq = np.einsum("ij,ij->i", X, X)
+    for stride in SAMPLE_STRIDES:
+        with mock.patch.object(neighbors, "SAMPLE_STRIDE", stride):
+            got = at_every_height(neighbors.nearest, Q, X, x_sq, k, exclude)
+        assert got == expected.astype(np.intp).tobytes()
+
+
 @settings(max_examples=300, deadline=None)
 @given(
     data=train_sets(),

@@ -2,12 +2,11 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from imbselect.base import derive_rng, derive_seed
 from imbselect.classifiers.forest import RandomForestClassifier
-from imbselect.classifiers.neighbors import squared_distances
 from imbselect.classifiers.tree import presort_rows, sort_orders
 from imbselect.dataset import Dataset, round_half_away, stratified_folds
 from imbselect.sampling import (
@@ -419,12 +418,17 @@ def minority_with_repeats(draw):
 
 @settings(max_examples=150, deadline=None)
 @given(minority_with_repeats())
+# in decimals row 0 is 0.1 from both rows 2 and 3; the fixed-order sum and
+# |q|² - 2 q·x + |x|², which the table was built from before, round the two
+# apart in opposite directions, and the latter gave [2, 0, 3, 2]
+@example(case=(np.array([[0.1, 0.2, 0.1, -0.2], [0, 0.1, -0.2, -0.1],
+                         [0.2, 0.3, 0.3, 0], [0.3, 0.3, 0.3, -0.3]]), 1))
 def test_minority_neighbor_table_matches_the_written_out_formula(case):
     minority, k = case
-    sq = (minority * minority).sum(axis=1)
-    # the expression the neighbour table used before it called squared_distances
-    reference = sq[:, None] - 2.0 * (minority @ minority.T) + sq[None, :]
-    assert squared_distances(minority, minority, sq).tobytes() == reference.tobytes()
+    # Σ_c (x_c - q_c)², summed over the columns left to right
+    reference = np.zeros((len(minority), len(minority)))
+    for c in range(minority.shape[1]):
+        reference += (minority[None, :, c] - minority[:, c, None]) ** 2
     np.fill_diagonal(reference, np.inf)
     expected = np.argsort(reference, axis=1, kind="stable")[:, :k]
     assert np.array_equal(_minority_neighbor_table(minority, k), expected)
