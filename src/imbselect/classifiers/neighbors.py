@@ -82,7 +82,9 @@ def nearest(Q, X, x_sq, k, exclude=None):
         norms = np.sqrt((chunk * chunk).sum(axis=1))
         band = (X.shape[1] + 2) * (_DISTANCE_SLACK * (norms + reach) ** 2 + tiny)
         rows, cols = _candidates(d2, band, k)
-        near[start : start + len(chunk)] = _k_nearest(chunk, X, rows, cols, k, limit=d2.size)
+        # d2.size alone would have a tiny X sum a few pairs a step
+        limit = max(d2.size, CHUNK_ROWS * SAMPLE_STRIDE)
+        near[start : start + len(chunk)] = _k_nearest(chunk, X, rows, cols, k, limit)
     return near
 
 

@@ -30,7 +30,10 @@ cut position, a count, a threshold or the order of random draws.
 Every node searches one feature at a time: it finds the class-run ends from
 the running positive draws (``run_ends``) and evaluates the Gini only
 there. It holds the sorted rows of two features at most: the one it reads
-and the best so far.
+and the best so far. A Gini of 0.0 ends a node's search: draw counts are
+integer-valued floats, so no computed Gini is below 0.0, and a later
+feature must be strictly lower to win. A split hands each child its draws
+and positive draws off the winning cut's running sums.
 """
 
 from functools import partial
@@ -117,12 +120,14 @@ def _from_presort(presorted, member, f):
 
 
 def _best_run_end(sorted_by, counts, pos_counts, n, n_pos, feature_ids):
-    """(feature, threshold, left_rows, right_rows) of the node's best class-run
-    end over ``feature_ids``, or None where every one is constant.
+    """(feature, threshold, left_rows, right_rows, n_left, pos_left) of the
+    node's best class-run end over ``feature_ids``, or None where every one
+    is constant; the left child holds n_left draws, pos_left positive.
 
     ``sorted_by(f)`` gives the node's distinct rows sorted by feature f and
     their values; float ``counts`` weight them (None: one draw each) and
-    ``pos_counts`` hold their positive draws.
+    ``pos_counts`` hold their positive draws. A best Gini of 0.0 ends the
+    search.
     """
     best = None
     best_score = np.inf
@@ -133,14 +138,17 @@ def _best_run_end(sorted_by, counts, pos_counts, n, n_pos, feature_ids):
             continue
         pos_left = pos_counts.take(node_rows).cumsum()[cut]
         ends = run_ends(pos_left)
-        cut = cut[ends]
+        cut, pos_left = cut[ends], pos_left[ends]
         n_left = cut + 1.0 if counts is None else counts.take(node_rows).cumsum()[cut]
-        weighted = _gini(n_left, pos_left[ends], n, n_pos)
+        weighted = _gini(n_left, pos_left, n, n_pos)
         k = weighted.argmin()
         if weighted[k] < best_score:
             best_score = weighted[k]
             c = cut[k]
-            best = (f, midpoint(xs, c), node_rows[: c + 1], node_rows[c + 1 :])
+            best = (f, midpoint(xs, c), node_rows[: c + 1], node_rows[c + 1 :],
+                    int(n_left[k]), int(pos_left[k]))
+            if best_score == 0.0:
+                break
     return best
 
 
@@ -191,11 +199,10 @@ class DecisionTreeClassifier(BinaryClassifier):
             prob.append(0.0)
             return len(feature) - 1
 
-        stack = [(np.flatnonzero(counts), 0, 0)]
+        # (rows, draws, positive draws, depth, node id)
+        stack = [(np.flatnonzero(counts), total, int(pos_weights.sum()), 0, 0)]
         while stack:
-            rows, depth, nid = stack.pop()
-            n = int(counts[rows].sum())
-            n_pos = int(pos_weights[rows].sum())
+            rows, n, n_pos, depth, nid = stack.pop()
             at_cap = self.max_depth is not None and depth >= self.max_depth
             split = None
             if not at_cap and 0 < n_pos < n and n >= self.min_samples_split:
@@ -219,14 +226,14 @@ class DecisionTreeClassifier(BinaryClassifier):
                 feature[nid] = _LEAF
                 prob[nid] = n_pos / n
                 continue
-            f, thr, left_rows, right_rows = split
+            f, thr, left_rows, right_rows, n_left, pos_left = split
             feature[nid] = f
             threshold[nid] = thr
             left[nid] = lid = new_node()
             right[nid] = rid = new_node()
             # left pushed last so it is processed first: stable node numbering
-            stack.append((right_rows, depth + 1, rid))
-            stack.append((left_rows, depth + 1, lid))
+            stack.append((right_rows, n - n_left, n_pos - pos_left, depth + 1, rid))
+            stack.append((left_rows, n_left, pos_left, depth + 1, lid))
 
         self.feature_ = np.asarray(feature, dtype=np.int64)
         self.threshold_ = np.asarray(threshold)

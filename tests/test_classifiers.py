@@ -640,6 +640,15 @@ def searching(share):
     share=st.sampled_from([1, 2, 8, tree_module._PRESORT_SHARE, 10**9]),
     seed=st.integers(0, 2**31),
 )
+# features 1 and 2 both split the root perfectly, at other thresholds:
+# feature 1, the lower, must win
+@example(
+    problem=(
+        np.array([[0, 0, 10], [1, 1, 11], [2, 2, 12], [0, 3, 0], [1, 4, 1], [3, 5, 2]], dtype=float),
+        np.array([0, 0, 0, 1, 1, 1]),
+    ),
+    max_depth=None, max_features=None, share=tree_module._PRESORT_SHARE, seed=0,
+)
 def test_presorted_tree_matches_per_node_reference(problem, max_depth, max_features, share, seed):
     # share 1 sends every node below the root to the per-node path and
     # 10**9 keeps every node on the presort, so both paths and the switch
@@ -789,6 +798,48 @@ def test_tree_split_is_a_run_end_where_rounding_favours_an_interior_cut():
     tree = DecisionTreeClassifier(max_depth=1)
     tree._grow(X, y, counts, tree_module.presort(X))
     assert tree.threshold_[0] == 4.5
+
+
+@settings(max_examples=500, deadline=None)
+@given(data=st.data(), n=st.one_of(st.integers(2, 100), st.integers(2, 2**53)))
+def test_computed_gini_is_never_negative(data, n):
+    # a node stops searching at a Gini of 0.0, which is sound only if no
+    # cut computes below it: counts are integer-valued floats up to 2**53
+    n_left = data.draw(st.integers(1, n - 1))
+    n_right = n - n_left
+    pos_left = data.draw(st.one_of(st.sampled_from([0, n_left]), st.integers(0, n_left)))
+    pos_right = data.draw(st.one_of(st.sampled_from([0, n_right]), st.integers(0, n_right)))
+    gini = tree_module._gini(np.array([float(n_left)]), np.array([float(pos_left)]), n, pos_left + pos_right)
+    assert gini[0] >= 0.0
+    if pos_left in (0, n_left) and pos_right in (0, n_right):
+        assert gini[0] == 0.0
+
+
+@pytest.mark.parametrize("perfect, searched", [(0, 1), (2, 3)])
+def test_a_perfect_split_ends_the_node_search(perfect, searched):
+    # column ``perfect`` splits the classes perfectly: no feature after it
+    # is scored, and the ones before it are
+    y = np.array([0, 0, 1, 1, 0, 1])
+    X = np.column_stack([[0, 1, 0, 1, 2, 2], [5, 3, 4, 2, 1, 0], [3, 1, 2, 0, 1, 2]]).astype(float)
+    X[:, perfect] = [0, 1, 4, 5, 2, 3]
+    with mock.patch.object(tree_module, "_gini", wraps=tree_module._gini) as gini:
+        tree = DecisionTreeClassifier().fit(X, y)
+    assert gini.call_count == searched
+    assert tree.feature_[0] == perfect and tree.threshold_[0] == 2.5
+    assert_same_tree(tree, reference_cart(X, y))
+
+
+def test_a_near_perfect_split_does_not_end_the_node_search():
+    # feature 0 puts one positive draw beside 10**13 negative ones, a Gini
+    # of ~1e-13; feature 1 splits perfectly and must win
+    y = np.array([0, 1, 1])
+    counts = np.array([10**13, 1, 10**13])
+    X = np.array([[0.0, 0.0], [0.0, 1.0], [1.0, 1.0]])
+    gini = tree_module._gini(np.array([10.0**13 + 1]), np.array([1.0]), 2 * 10**13 + 1, 10**13 + 1)
+    assert 0.0 < gini[0] < 1e-12
+    tree = DecisionTreeClassifier()
+    tree._grow(X, y, counts, tree_module.presort(X))
+    assert tree.feature_[0] == 1 and tree.threshold_[0] == 0.5
 
 
 def test_fitted_trees_keep_no_presort_or_counts():
